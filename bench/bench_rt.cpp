@@ -84,15 +84,15 @@ void BM_EngineSessionThroughput(benchmark::State& state) {
     rt::Engine::Config ec;
     ec.num_threads = static_cast<int>(state.range(0));
     rt::Engine engine(ec);
+    api::PipelineSpec spec;
+    spec.image.emit_columns = false;
+    spec.count = api::CountStage{};
+    rt::IngestConfig ingest;
+    ingest.ring_capacity = kTraceLen / kChunk + 1;
+    ingest.backpressure = rt::Backpressure::kBlock;
     std::vector<rt::SessionId> ids;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      rt::SessionConfig sc;
-      sc.emit_columns = false;
-      sc.count_movers = true;
-      sc.ring_capacity = kTraceLen / kChunk + 1;
-      sc.backpressure = rt::Backpressure::kBlock;
-      ids.push_back(engine.open_session(sc));
-    }
+    for (std::size_t s = 0; s < kSessions; ++s)
+      ids.push_back(engine.open_session(spec, ingest));
     for (std::size_t pos = 0; pos < kTraceLen; pos += kChunk)
       for (std::size_t s = 0; s < kSessions; ++s)
         engine.offer(

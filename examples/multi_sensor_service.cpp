@@ -114,11 +114,10 @@ int main(int argc, char** argv) {
     }
     events.clear();
     engine.poll(events);
-    // The engine's wire format is the legacy multiplexer Event; convert to
-    // the typed api::Event and dispatch on the variant.
+    // Each engine event is a typed api::Event tagged with its session;
+    // dispatch on the variant.
     for (const rt::Event& e : events) {
-      const api::Event typed = rt::to_api_event(e);
-      if (const auto* c = std::get_if<api::CountEvent>(&typed)) {
+      if (const auto* c = std::get_if<api::CountEvent>(&e.event)) {
         last_variance[e.session] = c->spatial_variance;
         ++count_updates;
       }
@@ -133,11 +132,10 @@ int main(int argc, char** argv) {
   events.clear();
   engine.poll(events);
   for (const rt::Event& e : events) {
-    const api::Event typed = rt::to_api_event(e);
-    if (const auto* c = std::get_if<api::CountEvent>(&typed)) {
+    if (const auto* c = std::get_if<api::CountEvent>(&e.event)) {
       ++count_updates;
       last_variance[e.session] = c->spatial_variance;
-    } else if (const auto* f = std::get_if<api::FinishedEvent>(&typed)) {
+    } else if (const auto* f = std::get_if<api::FinishedEvent>(&e.event)) {
       last_variance[e.session] = f->spatial_variance;
     }
   }

@@ -65,7 +65,6 @@
 #include "src/obs/obs.hpp"
 
 // ------------------------------------- rt: streaming runtime + engine -----
-#include "src/rt/compat.hpp"
 #include "src/rt/engine.hpp"
 #include "src/rt/spsc_ring.hpp"
 #include "src/rt/streaming.hpp"

@@ -2,10 +2,10 @@
 /// Typed pipeline output events of the wivi::Session facade.
 ///
 /// Every unit of output a compiled pipeline produces is one alternative of
-/// the api::Event variant — one struct per stage kind instead of the fat
-/// union-style rt::Event whose payload fields only mean something for some
-/// Event::Type values. Consumers dispatch with std::visit or std::get_if
-/// and the type system guarantees they can only read fields that exist.
+/// the api::Event variant — one struct per stage kind. Consumers dispatch
+/// with std::visit or std::get_if and the type system guarantees they can
+/// only read fields that exist. A multiplexing rt::Engine delivers the same
+/// variant, tagged with the session it belongs to (rt::Event).
 ///
 /// Delivery order within one session is deterministic: for every batch of
 /// freshly completed image columns, ColumnEvents (one per column, in column

@@ -4,8 +4,7 @@
 /// Wi-Vi's pipeline is one dataflow — nulled channel stream → smoothed-MUSIC
 /// angle-time image → detect/track/gesture/count — and a PipelineSpec is its
 /// complete declarative description: the mandatory image stage plus an
-/// optional<> per downstream stage (replacing the bool-flag + loose-config
-/// pairs of the legacy rt::SessionConfig). A spec says *what* to compute;
+/// optional<> per downstream stage. A spec says *what* to compute;
 /// *how* it executes — batch, chunked streaming, column-parallel offline,
 /// or multiplexed inside rt::Engine — is chosen per call on the compiled
 /// wivi::Session, and every mode produces identical results (see

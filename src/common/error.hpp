@@ -26,10 +26,10 @@ class ComputeError : public std::runtime_error {
 };
 
 /// Machine-readable classification of a runtime failure — the taxonomy every
-/// api::ErrorEvent (and the engine's legacy kError/kRecovered events)
-/// carries, so consumers can branch on *what kind* of fault killed or
-/// degraded a session instead of parsing what() strings. The failure model
-/// (which code is raised where, and which are terminal) is DESIGN.md §9.
+/// api::ErrorEvent (and api::RecoveredEvent) carries, so consumers can
+/// branch on *what kind* of fault killed or degraded a session instead of
+/// parsing what() strings. The failure model (which code is raised where,
+/// and which are terminal) is DESIGN.md §9.
 enum class ErrorCode {
   kNone = 0,       ///< no failure (default for non-error events)
   kInvalidChunk,   ///< malformed input rejected at the ingress boundary

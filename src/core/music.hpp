@@ -36,8 +36,8 @@ struct MusicConfig {
   /// sources (humans + DC). A closed conference room holds at most a few.
   int max_sources = 16;
   /// An eigenvalue is "signal" if it exceeds the noise-floor estimate by
-  /// this many dB (the floor is the mean of the smallest half of the
-  /// eigenvalues).
+  /// this many dB (the floor is the median of the smallest half of the
+  /// eigenvalues; see SmoothedMusic::estimate_model_order).
   double signal_threshold_db = 12.0;
 };
 

@@ -1,42 +1,12 @@
 /// @file
-/// Deprecated-surface shims: conversions between the legacy rt session
-/// configuration / event types and the wivi::api facade types.
-///
-/// The legacy rt::SessionConfig (bool-flag stage toggles) and rt::Event
-/// (fat union-style payload) predate the declarative api::PipelineSpec and
-/// the typed api::Event variant. They are kept so existing engine
-/// consumers continue to compile, and these conversions are the single
-/// definition of what each legacy field means in the new model — the
-/// engine itself runs on api::Session pipelines and uses exactly these
-/// functions at its deprecated entry points.
+/// Kept only because the frozen wirebench/ benchmark includes it.
 #pragma once
 
-#include "src/api/events.hpp"
-#include "src/api/spec.hpp"
 #include "src/rt/engine.hpp"
 
 namespace wivi::rt {
 
-/// The pipeline described by a legacy SessionConfig: image stage from
-/// `tracker`/`t0`/`emit_columns`, optional stages from the bool flags and
-/// their side-car configurations.
-[[nodiscard]] api::PipelineSpec to_pipeline_spec(const SessionConfig& cfg);
-
-/// The ingestion-edge half of a legacy SessionConfig (ring depth and
-/// backpressure policy).
-[[nodiscard]] IngestConfig to_ingest_config(const SessionConfig& cfg);
-
-/// The legacy configuration equivalent to a spec + ingest pair (round-trips
-/// with the two functions above).
-[[nodiscard]] SessionConfig to_session_config(const api::PipelineSpec& spec,
-                                              const IngestConfig& ingest = {});
-
-/// The legacy engine event carrying the payload of a typed api::Event for
-/// session `session`.
-[[nodiscard]] Event to_legacy_event(SessionId session, api::Event e);
-
-/// The typed api::Event carried by a legacy engine event (the session id
-/// is dropped — api::Events are per-session by construction).
-[[nodiscard]] api::Event to_api_event(const Event& e);
+/// The typed payload of an engine event (the session tag dropped).
+inline api::Event to_api_event(const Event& e) { return e.event; }
 
 }  // namespace wivi::rt

@@ -8,7 +8,6 @@
 #include "src/obs/clock.hpp"
 #include "src/obs/trace.hpp"
 #include "src/plan/registry.hpp"
-#include "src/rt/compat.hpp"
 
 namespace wivi::rt {
 
@@ -61,22 +60,14 @@ Engine::Session::Session(Engine* engine, SessionId id_,
 
 void Engine::Session::arm_pipeline(Engine* engine) {
   pipeline.emplace(api::PipelineSpec(spec));
-  // The conversion sink: every typed event the pipeline emits becomes one
-  // legacy Event tagged with this session's id. Runs under the session's
-  // claim flag (the pipeline is only driven from there), so the counter
-  // updates and delivery order stay per-session sequential. Terminal
-  // events additionally carry the session's cumulative loss counters.
+  // The session sink: every typed event the pipeline emits is delivered
+  // as-is, tagged with this session's id. Runs under the session's claim
+  // flag (the pipeline is only driven from there), so the counter update
+  // and delivery order stay per-session sequential.
   pipeline->set_callback([engine, this](api::Event&& e) {
     if (const auto* b = std::get_if<api::BitsEvent>(&e))
       bits_out.fetch_add(b->bits.size(), std::memory_order_relaxed);
-    Event out = to_legacy_event(id, std::move(e));
-    if (out.type == Event::Type::kFinished ||
-        out.type == Event::Type::kError) {
-      out.chunks_dropped = chunks_dropped.load(std::memory_order_relaxed);
-      out.samples_dropped = samples_dropped.load(std::memory_order_relaxed);
-      out.chunks_rejected = chunks_rejected.load(std::memory_order_relaxed);
-    }
-    engine->deliver(std::move(out));
+    engine->deliver({id, std::move(e)});
   });
   if (ingest.fault_hook) pipeline->set_fault_hook(ingest.fault_hook);
   const int f = fidelity.load(std::memory_order_relaxed);
@@ -135,10 +126,6 @@ SessionId Engine::open_session(api::PipelineSpec spec, IngestConfig ingest) {
   return static_cast<SessionId>(n);
 }
 
-SessionId Engine::open_session(SessionConfig cfg) {
-  return open_session(to_pipeline_spec(cfg), to_ingest_config(cfg));
-}
-
 SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
   const SessionId id = open_session(std::move(spec), IngestConfig{});
   Session& s = session(id);
@@ -175,10 +162,6 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
   return id;
 }
 
-SessionId Engine::run_recorded(SessionConfig cfg, CSpan trace) {
-  return run_recorded(to_pipeline_spec(cfg), trace);
-}
-
 bool Engine::offer(SessionId id, CVec chunk) {
   Session& s = session(id);
   WIVI_REQUIRE(!s.closed.load(std::memory_order_relaxed),
@@ -190,7 +173,7 @@ bool Engine::offer(SessionId id, CVec chunk) {
   m_.chunks_in.add();
   m_.samples_in.add(samples);
   // Feed the watchdog: any offer — accepted or dropped — is proof the
-  // producer is alive, and re-arms the one-shot kStalled advisory.
+  // producer is alive, and re-arms the one-shot StalledEvent advisory.
   s.last_activity_ns.store(now, std::memory_order_relaxed);
   s.stall_flagged.store(false, std::memory_order_relaxed);
   // A finished session (failed, timed out, restarts exhausted) has no
@@ -267,7 +250,7 @@ std::size_t Engine::poll(std::vector<Event>& out) {
   return n;
 }
 
-Engine::SessionStats Engine::stats(SessionId id) const {
+SessionStats Engine::stats(SessionId id) const {
   const Session& s = session(id);
   SessionStats st;
   st.chunks_in = s.chunks_in.load(std::memory_order_relaxed);
@@ -410,7 +393,7 @@ void Engine::drain() {
   for (std::size_t i = 0; i < n; ++i) {
     // A fatal watchdog is the one other way a session is guaranteed to
     // resolve: its timeout turns an absent feeder into a terminal
-    // kError(kTimeout), so waiting on it cannot hang.
+    // ErrorEvent(kTimeout), so waiting on it cannot hang.
     const Session& s = *sessions_[i];
     WIVI_REQUIRE(s.closed.load(std::memory_order_acquire) ||
                      s.finished.load(std::memory_order_acquire) ||
@@ -463,7 +446,7 @@ bool Engine::try_process(Session& s) {
   if (s.resume_at_ns.load(std::memory_order_acquire) > now) return false;
   // Cheap pre-check before contending on the claim flag. An idle session
   // is still claimed when its watchdog may be due — silence is exactly
-  // what the watchdog exists to observe — or when a periodic kStats
+  // what the watchdog exists to observe — or when a periodic StatsEvent
   // emission is due.
   bool idle_tick = false;
   if (s.ring.empty() && !s.closed.load(std::memory_order_acquire)) {
@@ -485,7 +468,7 @@ bool Engine::try_process(Session& s) {
   // Re-check under the claim: the pre-claim read can go stale if another
   // worker fails or finalises the session between the two lines, and a
   // dead session must never be processed again — popping its ring or
-  // delivering further events (a second kError, say) for an id the
+  // delivering further events (a second ErrorEvent, say) for an id the
   // consumer already saw die would corrupt the per-session event
   // contract. All finished-transitions happen under the claim flag, so
   // this second read is authoritative.
@@ -497,10 +480,9 @@ bool Engine::try_process(Session& s) {
   // An exception from a pipeline stage (WIVI_REQUIRE on pathological
   // input) or from a throwing user callback must not escape the worker
   // thread — that would std::terminate the whole service. It fails this
-  // session only: the pipeline delivers its own ErrorEvent (converted to
-  // kError) on the way out, and handle_failure() either re-arms the
-  // session under its RestartPolicy or marks it finished so drain()
-  // still returns.
+  // session only: the pipeline delivers its own ErrorEvent on the way
+  // out, and handle_failure() either re-arms the session under its
+  // RestartPolicy or marks it finished so drain() still returns.
   bool did_work = false;
   try {
     if (idle_tick) {
@@ -547,7 +529,7 @@ void Engine::process_chunk(Session& s, Ingested in) {
   if (popped > in.ingress_ns)
     m_.ingress_wait_ns.record(
         static_cast<std::uint64_t>(popped - in.ingress_ns));
-  // The pipeline emits every event itself (through the conversion sink
+  // The pipeline emits every event itself (through the session sink
   // installed at arm time); the engine only maintains the counters. The
   // counter is synced even when event delivery throws mid-chunk: the
   // image columns were completed before delivery started, and some may
@@ -578,7 +560,7 @@ void Engine::process_chunk(Session& s, Ingested in) {
                       std::memory_order_relaxed);
   m_.samples_processed.add(chunk.size());
   // End-to-end chunk latency: offer() to fully processed (events
-  // delivered). Engine-wide and per-session (the kStats payload).
+  // delivered). Engine-wide and per-session (the StatsEvent payload).
   const std::int64_t done = now_ns();
   if (done > in.ingress_ns) {
     const auto lat = static_cast<std::uint64_t>(done - in.ingress_ns);
@@ -614,19 +596,15 @@ void Engine::check_overload(Session& s) {
   s.drops_acked = drops;
   s.clean_chunks = 0;
   m_.overload_transitions.add();
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kOverload;
-  e.degraded = !degraded;
-  e.fidelity = s.fidelity.load(std::memory_order_relaxed);
-  e.chunks_dropped = drops;
-  e.samples_dropped = s.samples_dropped.load(std::memory_order_relaxed);
-  deliver(std::move(e));
+  deliver({s.id,
+           api::OverloadEvent{
+               !degraded, s.fidelity.load(std::memory_order_relaxed), drops,
+               s.samples_dropped.load(std::memory_order_relaxed)}});
 }
 
 /// Watchdog tick for an idle session (runs under the claim flag): one
-/// advisory kStalled per silence, then — at twice the deadline, when the
-/// timeout is fatal — a terminal kError of ErrorCode::kTimeout.
+/// advisory StalledEvent per silence, then — at twice the deadline, when the
+/// timeout is fatal — a terminal ErrorEvent of ErrorCode::kTimeout.
 void Engine::check_watchdog(Session& s, std::int64_t now) {
   const std::int64_t deadline = sec_to_ns(s.ingest.watchdog.stall_timeout_sec);
   const std::int64_t silent =
@@ -640,27 +618,25 @@ void Engine::check_watchdog(Session& s, std::int64_t now) {
   }
   if (s.stall_flagged.exchange(true, std::memory_order_relaxed)) return;
   m_.stalls.add();
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kStalled;
-  e.silent_sec = static_cast<double>(silent) * 1e-9;
-  e.chunks_in = s.chunks_in.load(std::memory_order_relaxed);
-  deliver(std::move(e));
+  deliver({s.id,
+           api::StalledEvent{static_cast<double>(silent) * 1e-9,
+                             s.chunks_in.load(std::memory_order_relaxed)}});
 }
 
-/// Periodic per-session telemetry (runs under the claim flag): one kStats
-/// event carrying the session's SessionStats, at most once per
+/// Periodic per-session telemetry (runs under the claim flag): one
+/// StatsEvent carrying the session's SessionStats, at most once per
 /// stats_interval_sec.
 void Engine::maybe_emit_stats(Session& s, std::int64_t now) {
   if (s.ingest.stats_interval_sec <= 0.0) return;
   if (now < s.next_stats_ns.load(std::memory_order_relaxed)) return;
   s.next_stats_ns.store(now + sec_to_ns(s.ingest.stats_interval_sec),
                         std::memory_order_relaxed);
-  Event e;
-  e.session = s.id;
-  e.type = Event::Type::kStats;
-  e.stats = stats(s.id);
-  deliver(std::move(e));
+  const SessionStats st = stats(s.id);
+  deliver({s.id, api::StatsEvent{st.chunks_in, st.samples_in,
+                                 st.chunks_dropped, st.samples_dropped,
+                                 st.chunks_rejected, st.samples_rejected,
+                                 st.columns_out, st.bits_out, st.restarts,
+                                 st.fidelity, st.stalled, st.latency}});
 }
 
 void Engine::finalize(Session& s) {
@@ -672,9 +648,9 @@ void Engine::finalize(Session& s) {
 }
 
 /// A pipeline (or engine-side delivery) failure under the claim flag:
-/// either re-arm the session under its RestartPolicy — kRecovered follows
-/// the failure's kError, processing resumes after the backoff — or let
-/// the failure be terminal via fail_session().
+/// either re-arm the session under its RestartPolicy — a RecoveredEvent
+/// follows the failure's ErrorEvent, processing resumes after the backoff —
+/// or let the failure be terminal via fail_session().
 void Engine::handle_failure(Session& s, ErrorCode code,
                             const char* what) noexcept {
   const RestartPolicy& rp = s.ingest.restart;
@@ -685,7 +661,7 @@ void Engine::handle_failure(Session& s, ErrorCode code,
   }
   // Re-arm: a fresh pipeline (same spec, same sink/hook/fidelity wiring)
   // continues consuming the ring. The dead pipeline already delivered its
-  // own kError; the kRecovered below tells the consumer the session
+  // own ErrorEvent; the RecoveredEvent below tells the consumer the session
   // lives on. If re-compilation itself throws, the restart is abandoned
   // and the failure becomes terminal.
   try {
@@ -704,16 +680,10 @@ void Engine::handle_failure(Session& s, ErrorCode code,
                          std::memory_order_release);
   }
   try {
-    Event e;
-    e.session = s.id;
-    e.type = Event::Type::kRecovered;
-    e.restarts = r;
-    e.code = code;
-    e.error = what;
-    deliver(std::move(e));
+    deliver({s.id, api::RecoveredEvent{r, code, what}});
   } catch (...) {
-    // The callback threw again (or allocation failed): the kRecovered is
-    // lost but the session is restarted all the same.
+    // The callback threw again (or allocation failed): the RecoveredEvent
+    // is lost but the session is restarted all the same.
   }
 }
 
@@ -721,23 +691,15 @@ void Engine::fail_session(Session& s, ErrorCode code,
                           const char* what) noexcept {
   // Lifecycle guard (belt to try_process's braces): a session that is
   // already dead — it failed or finalised earlier — must not emit another
-  // kError. Callers hold the claim flag, so this read cannot race a
+  // ErrorEvent. Callers hold the claim flag, so this read cannot race a
   // concurrent transition.
   if (s.finished.load(std::memory_order_acquire)) return;
-  // The pipeline delivers its own ErrorEvent (already converted to kError
-  // by the session sink) when one of its stages or the sink threw; only
-  // engine-side failures outside the pipeline still need one here.
+  // The pipeline delivers its own ErrorEvent (through the session sink)
+  // when one of its stages or the sink threw; only engine-side failures
+  // outside the pipeline still need one here.
   if (!s.pipeline || !s.pipeline->failed()) {
     try {
-      Event e;
-      e.session = s.id;
-      e.type = Event::Type::kError;
-      e.error = what;
-      e.code = code;
-      e.chunks_dropped = s.chunks_dropped.load(std::memory_order_relaxed);
-      e.samples_dropped = s.samples_dropped.load(std::memory_order_relaxed);
-      e.chunks_rejected = s.chunks_rejected.load(std::memory_order_relaxed);
-      deliver(std::move(e));
+      deliver({s.id, api::ErrorEvent{what, code}});
     } catch (...) {
       // The callback threw again (or allocation failed): the error event
       // is lost but the session still dies cleanly.

@@ -14,9 +14,9 @@
 /// worker threads).
 ///
 /// Sessions are opened from an api::PipelineSpec plus an IngestConfig (the
-/// ring/backpressure knobs that only exist in the multiplexed setting).
-/// The legacy SessionConfig/Event surface is kept as deprecated shims that
-/// convert to/from the api types (src/rt/compat.hpp).
+/// ring/backpressure knobs that only exist in the multiplexed setting), and
+/// every result is the pipeline's own typed api::Event tagged with its
+/// SessionId (rt::Event).
 ///
 /// Ownership/threading rules are spelled out in DESIGN.md §4. The short
 /// version: one producer thread per session at a time; Engine owns every
@@ -30,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,11 +57,11 @@ enum class Backpressure {
 /// when a pipeline stage, sink or fault hook throws, the engine re-arms
 /// the session with a freshly compiled pipeline (same spec) instead of
 /// killing it — up to `max_restarts` times, each restart announced by a
-/// kRecovered event following the failure's kError. The restarted
+/// RecoveredEvent following the failure's ErrorEvent. The restarted
 /// pipeline starts a new image (earlier columns are lost, column indices
 /// restart from 0) and continues consuming the ring where the dead one
 /// stopped. With the default `max_restarts == 0` every failure is
-/// terminal, exactly the legacy single-kError contract.
+/// terminal, exactly the single-ErrorEvent contract.
 struct RestartPolicy {
   /// Restarts allowed over the session's lifetime (0 = never restart).
   int max_restarts = 0;
@@ -72,15 +71,15 @@ struct RestartPolicy {
 };
 
 /// Per-session liveness watchdog (DESIGN.md §9): when the feeder goes
-/// silent for `stall_timeout_sec`, the engine emits one advisory kStalled
-/// event (re-armed by the next offer()); if silence reaches twice the
+/// silent for `stall_timeout_sec`, the engine emits one advisory
+/// StalledEvent (re-armed by the next offer()); if silence reaches twice the
 /// deadline and `timeout_is_fatal`, the session dies with a terminal
-/// kError of ErrorCode::kTimeout — which is also how a session that was
+/// ErrorEvent of ErrorCode::kTimeout — which is also how a session that was
 /// opened but never fed nor closed resolves instead of hanging drain().
 struct WatchdogConfig {
   /// Liveness deadline in seconds; 0 disables the watchdog.
   double stall_timeout_sec = 0.0;
-  /// Kill the session (kError, ErrorCode::kTimeout) when silence reaches
+  /// Kill the session (ErrorEvent, ErrorCode::kTimeout) when silence reaches
   /// 2 * stall_timeout_sec. When false the watchdog only ever advises.
   bool timeout_is_fatal = true;
 };
@@ -90,7 +89,7 @@ struct WatchdogConfig {
 /// session down to a coarser MUSIC angle grid
 /// (wivi::Session::set_fidelity) so each column costs less and the worker
 /// catches up; after a hysteresis window of drop-free input it restores
-/// full fidelity. Both transitions are announced with kOverload events.
+/// full fidelity. Both transitions are announced with OverloadEvents.
 struct OverloadPolicy {
   /// Master switch; false leaves fidelity alone no matter the drops.
   bool degrade = false;
@@ -123,7 +122,7 @@ struct IngestConfig {
   /// fault-injection suites script stage exceptions at exact chunk
   /// indices inside a multiplexed session (fault::throw_hook).
   std::function<void(std::size_t)> fault_hook;
-  /// Emit a periodic kStats event carrying the session's SessionStats
+  /// Emit a periodic StatsEvent carrying the session's SessionStats
   /// (cumulative counters + chunk-latency summary) at least this many
   /// seconds apart — in-band telemetry a sink can watch without polling
   /// Engine::stats(). Emitted from whichever worker holds the session's
@@ -151,112 +150,17 @@ struct SessionStats {
   obs::HistogramSnapshot latency;
 };
 
-/// Per-session processing configuration.
-/// @deprecated Legacy bool-flag surface, kept as a shim: it converts to an
-/// api::PipelineSpec + IngestConfig (src/rt/compat.hpp). New code should
-/// open sessions with Engine::open_session(api::PipelineSpec, IngestConfig).
-struct SessionConfig {
-  /// Image-stage (smoothed MUSIC) configuration of the session.
-  core::MotionTracker::Config tracker;
-  /// Absolute time of the session's first sample.
-  double t0 = 0.0;
-  /// Emit a kColumn event per completed image column (costs one column
-  /// copy; turn off for counting-only workloads).
-  bool emit_columns = true;
-  /// Attach a gesture stage to the session.
-  bool decode_gestures = false;
-  /// Attach a counting stage to the session.
-  bool count_movers = false;
-  /// Attach a multi-target tracking stage: kTracks events carry the live
-  /// multi-target snapshots after each processed batch of columns.
-  bool track_targets = false;
-  /// Gesture-stage configuration (used when decode_gestures).
-  StreamingGesture::Config gesture;
-  /// Multi-target tracking configuration (used when track_targets).
-  track::MultiTargetTracker::Config multi_track;
-  /// dB cap of the counting stage (used when count_movers).
-  double counter_cap_db = 60.0;
-  /// Ingest ring depth in chunks (rounded up to a power of two).
-  std::size_t ring_capacity = 256;
-  /// What offer() does when the ring is full.
-  Backpressure backpressure = Backpressure::kDropNewest;
-};
-
-/// One unit of output, delivered via poll() or the callback. Per-session
-/// event order is deterministic; the interleaving across sessions is not.
-/// @deprecated Legacy fat-union event, kept as a shim over the typed
-/// api::Event variant the pipelines emit: which payload fields are
-/// meaningful depends on `type`. Convert with rt::to_api_event() or
-/// consume api::Events from a standalone wivi::Session instead.
+/// One unit of output, delivered via poll() or the callback: the typed
+/// api::Event a session's pipeline (or the engine on its behalf) emitted,
+/// tagged with the session it belongs to. Per-session event order is
+/// deterministic; the interleaving across sessions is not.
 struct Event {
-  /// What this event reports.
-  enum class Type {
-    kColumn,     ///< one new angle-time image column
-    kBits,       ///< newly stable decoded gesture bits
-    kCount,      ///< running spatial-variance update (after new columns)
-    kTracks,     ///< live multi-target snapshots (after new columns)
-    kFinished,   ///< session closed, drained and finalised
-    kError,      ///< session failed; terminal unless a kRecovered follows
-    kStalled,    ///< watchdog advisory: the feeder has gone silent
-    kRecovered,  ///< the session restarted under its RestartPolicy
-    kOverload,   ///< degradation-ladder transition (OverloadPolicy)
-    kStats,      ///< periodic telemetry (IngestConfig::stats_interval_sec)
-  };
-
   /// Session this event belongs to.
   SessionId session = 0;
-  /// Event kind; selects which of the payload fields below are meaningful.
-  Type type = Type::kColumn;
-
-  /// kColumn: index of the new column in the session's image.
-  std::size_t column_index = 0;
-  /// kColumn: absolute time of the column (window centre).
-  double time_sec = 0.0;
-  /// kColumn: linear pseudospectrum over the session's angle grid.
-  RVec column;
-  /// kColumn: MUSIC model order of the column.
-  int model_order = 0;
-
-  /// kBits: newly stable decoded gesture bits, time order.
-  std::vector<core::GestureDecoder::DecodedBit> bits;
-
-  /// kTracks: live track snapshots after the newest processed column.
-  std::vector<track::TrackSnapshot> tracks;
-  /// kTracks / kFinished (when tracking): confirmed-target count.
-  std::size_t num_confirmed = 0;
-
-  /// kCount / kFinished (when counting): running spatial variance.
-  double spatial_variance = 0.0;
-  /// kCount / kTracks / kFinished: image columns processed so far.
-  std::size_t columns_seen = 0;
-
-  /// kError: what the failing stage or callback threw.
-  /// kRecovered: what forced the restart.
-  std::string error;
-  /// kError / kRecovered: machine-readable failure class
-  /// (wivi::error_code_name() for the string form).
-  ErrorCode code = ErrorCode::kNone;
-
-  /// kStalled: how long the feeder has been silent.
-  double silent_sec = 0.0;
-  /// kStalled: chunks the session had received at stall detection.
-  std::uint64_t chunks_in = 0;
-  /// kRecovered: restarts consumed so far, this one included.
-  int restarts = 0;
-  /// kOverload: true entering degraded mode, false restoring fidelity.
-  bool degraded = false;
-  /// kOverload: angle-grid decimation now in effect (1 = full fidelity).
-  int fidelity = 1;
-  /// kOverload / kFinished / kError: cumulative chunks lost to
-  /// backpressure.
-  std::uint64_t chunks_dropped = 0;
-  /// kOverload / kFinished / kError: cumulative samples lost to
-  /// backpressure.
-  std::uint64_t samples_dropped = 0;
-  /// kFinished / kError: cumulative chunks rejected by the InputGuard.
-  std::uint64_t chunks_rejected = 0;
-  /// kStats: the session's cumulative counters and latency summary.
-  SessionStats stats;
+  /// The payload: pipeline output (ColumnEvent, TracksEvent, BitsEvent,
+  /// CountEvent, FinishedEvent, ErrorEvent) or an engine-only health
+  /// event (StalledEvent, RecoveredEvent, OverloadEvent, StatsEvent).
+  api::Event event;
 };
 
 /// The session table plus worker pool: opens sessions, ingests chunks,
@@ -274,11 +178,6 @@ class Engine {
     /// and the bound on how long one session monopolises a worker.
     int chunks_per_claim = 4;
   };
-
-  /// Per-session counters, now a namespace-scope type (the kStats Event
-  /// carries one); this alias keeps the historical Engine::SessionStats
-  /// spelling working.
-  using SessionStats = wivi::rt::SessionStats;
 
   /// Engine-wide cumulative telemetry (see stats() with no argument):
   /// sums over every session this engine has ever opened.
@@ -349,29 +248,19 @@ class Engine {
   /// Thread-safe.
   SessionId open_session(api::PipelineSpec spec, IngestConfig ingest = {});
 
-  /// Register a new session from the legacy bool-flag configuration.
-  /// Thread-safe.
-  /// @deprecated Shim: converts `cfg` with rt::to_pipeline_spec() /
-  /// rt::to_ingest_config() and behaves identically to the spec overload.
-  SessionId open_session(SessionConfig cfg);
-
   /// Offline fast path for a fully recorded trace: open a session and
   /// execute its pipeline in the parallel-offline mode
   /// (wivi::Session::run(trace, Parallelism) — the image built
   /// column-parallel over this engine's thread count), delivering the same
   /// per-session event sequence a kBlock replay would — except that
-  /// kCount/kTracks/kBits land once (after all columns) instead of once
-  /// per chunk, and the column values come from the builder's
+  /// CountEvent/TracksEvent/BitsEvent land once (after all columns)
+  /// instead of once per chunk, and the column values come from the builder's
   /// thread-count-invariant rebuild path rather than the bit-exact
   /// streaming slide (~1e-9 apart; see DESIGN.md §7). Blocks the calling
   /// thread for the whole computation (events are delivered from it) and
   /// returns the finished session's id; offer() on it is an error.
   /// Thread-safe, and concurrent callers parallelise independently.
   SessionId run_recorded(api::PipelineSpec spec, CSpan trace);
-
-  /// Offline fast path from the legacy configuration.
-  /// @deprecated Shim: converts `cfg` and calls the spec overload.
-  SessionId run_recorded(SessionConfig cfg, CSpan trace);
 
   /// Ingest one chunk (one producer thread per session at a time). Returns
   /// false iff the chunk was dropped: kDropNewest with a full ring, or —
@@ -383,7 +272,7 @@ class Engine {
   bool offer(SessionId id, CVec chunk);
 
   /// End of stream: after the ring drains, the session is finalised (final
-  /// gesture flush, kFinished event). offer() afterwards is an error.
+  /// gesture flush, FinishedEvent). offer() afterwards is an error.
   void close_session(SessionId id);
 
   /// Block until every session is closed, drained and finalised. Requires
@@ -400,7 +289,7 @@ class Engine {
   /// Deliver events through `cb` (on worker threads, one event at a time
   /// per session) instead of the poll() queue. Install before the first
   /// open_session(). A throwing callback fails the session it was
-  /// reporting on (kError, best effort) — it never crashes the engine.
+  /// reporting on (ErrorEvent, best effort) — it never crashes the engine.
   void set_callback(std::function<void(Event&&)> cb);
 
   /// Point-in-time counters for a session (safe while the session runs;
@@ -434,7 +323,7 @@ class Engine {
   [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
 
   /// The session's compiled pipeline — safe to read once the session is
-  /// finished (kFinished observed or drain() returned).
+  /// finished (FinishedEvent observed or drain() returned).
   [[nodiscard]] const api::Session& pipeline(SessionId id) const;
 
   /// The session's streaming image stage — safe to read once the session
@@ -495,7 +384,7 @@ class Engine {
     std::atomic<std::uint64_t> samples_rejected{0};
 
     // Watchdog state: last producer activity (steady-clock ns) and
-    // whether the advisory kStalled for the current silence has fired.
+    // whether the advisory StalledEvent for the current silence has fired.
     std::atomic<std::int64_t> last_activity_ns{0};
     std::atomic<bool> stall_flagged{false};
     // Restart state: restarts consumed, and the steady-clock instant
@@ -515,7 +404,7 @@ class Engine {
     /// Offer→processed chunk latency. Single-slot: the claim flag already
     /// serializes every writer, so sharding would only waste cache lines.
     obs::Histogram latency{1};
-    /// Next kStats emission instant (stats_interval_sec; claim-checked).
+    /// Next StatsEvent emission instant (stats_interval_sec; claim-checked).
     std::atomic<std::int64_t> next_stats_ns{0};
   };
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -23,54 +24,72 @@ inline void put_f64(std::ostringstream& os, double v) {
   os << std::hex << std::bit_cast<std::uint64_t>(v) << std::dec << ',';
 }
 
+/// Visitor built from one lambda per event kind (std::visit idiom).
+template <class... Ts>
+struct Overloaded : Ts... {
+  using Ts::operator()...;
+};
+template <class... Ts>
+Overloaded(Ts...) -> Overloaded<Ts...>;
+
 /// Serialise one session's events (in queue order) to a byte-comparable
 /// log. Only deterministic event kinds appear; timing-driven kinds
-/// (kStats, kStalled) are excluded so wall-clock noise cannot fail a
-/// parity compare.
+/// (StatsEvent, StalledEvent) are excluded so wall-clock noise cannot fail
+/// a parity compare.
 inline std::string event_log(const std::vector<rt::Event>& events,
                              rt::SessionId id) {
   std::ostringstream os;
   for (const rt::Event& e : events) {
     if (e.session != id) continue;
-    switch (e.type) {
-      case rt::Event::Type::kColumn:
-        os << "col:" << e.column_index << ':' << e.model_order << ':';
-        put_f64(os, e.time_sec);
-        for (double v : e.column) put_f64(os, v);
-        break;
-      case rt::Event::Type::kCount:
-        os << "cnt:" << e.columns_seen << ':';
-        put_f64(os, e.spatial_variance);
-        break;
-      case rt::Event::Type::kBits:
-        os << "bit:";
-        for (const auto& b : e.bits) {
-          os << static_cast<int>(b.value) << ':';
-          put_f64(os, b.time_sec);
-          put_f64(os, b.snr_db);
-        }
-        break;
-      case rt::Event::Type::kTracks:
-        os << "trk:" << e.num_confirmed << ':' << e.columns_seen;
-        break;
-      case rt::Event::Type::kFinished:
-        os << "fin:" << e.columns_seen << ':' << e.num_confirmed << ':';
-        put_f64(os, e.spatial_variance);
-        break;
-      case rt::Event::Type::kError:
-        os << "err:" << error_code_name(e.code);
-        break;
-      case rt::Event::Type::kRecovered:
-        os << "rec:" << e.restarts;
-        break;
-      case rt::Event::Type::kOverload:
-        os << "ovl:" << e.degraded << ':' << e.fidelity;
-        break;
-      case rt::Event::Type::kStalled:
-      case rt::Event::Type::kStats:
-        continue;  // wall-clock driven: excluded from parity logs
-    }
-    os << '\n';
+    const bool logged = std::visit(
+        Overloaded{
+            [&](const api::ColumnEvent& c) {
+              os << "col:" << c.column_index << ':' << c.model_order << ':';
+              put_f64(os, c.time_sec);
+              for (double v : c.column) put_f64(os, v);
+              return true;
+            },
+            [&](const api::CountEvent& c) {
+              os << "cnt:" << c.columns_seen << ':';
+              put_f64(os, c.spatial_variance);
+              return true;
+            },
+            [&](const api::BitsEvent& b) {
+              os << "bit:";
+              for (const auto& bit : b.bits) {
+                os << static_cast<int>(bit.value) << ':';
+                put_f64(os, bit.time_sec);
+                put_f64(os, bit.snr_db);
+              }
+              return true;
+            },
+            [&](const api::TracksEvent& t) {
+              os << "trk:" << t.num_confirmed << ':' << t.columns_seen;
+              return true;
+            },
+            [&](const api::FinishedEvent& f) {
+              os << "fin:" << f.columns_seen << ':' << f.num_confirmed << ':';
+              put_f64(os, f.spatial_variance);
+              return true;
+            },
+            [&](const api::ErrorEvent& err) {
+              os << "err:" << error_code_name(err.code);
+              return true;
+            },
+            [&](const api::RecoveredEvent& r) {
+              os << "rec:" << r.restarts;
+              return true;
+            },
+            [&](const api::OverloadEvent& o) {
+              os << "ovl:" << o.degraded << ':' << o.fidelity;
+              return true;
+            },
+            // Wall-clock driven: excluded from parity logs.
+            [](const api::StalledEvent&) { return false; },
+            [](const api::StatsEvent&) { return false; },
+        },
+        e.event);
+    if (logged) os << '\n';
   }
   return os.str();
 }

@@ -3,9 +3,7 @@
 // wivi::Session is *bit-identical* to the legacy entry points in every
 // execution mode — batch (core::MotionTracker / GestureDecoder /
 // spatial_variance / track_image), chunked streaming, column-parallel
-// offline (par::ParallelImageBuilder) and engine-multiplexed (rt::Engine,
-// through both the new spec entry point and the deprecated SessionConfig
-// shim).
+// offline (par::ParallelImageBuilder) and engine-multiplexed (rt::Engine).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +17,6 @@
 #include "src/core/gesture.hpp"
 #include "src/core/tracker.hpp"
 #include "src/par/image_builder.hpp"
-#include "src/rt/compat.hpp"
 #include "src/rt/engine.hpp"
 #include "src/sim/synthetic.hpp"
 #include "src/track/multi_tracker.hpp"
@@ -360,26 +357,46 @@ TEST(SessionParallel, ThreadCountInvariant) {
 
 // ----------------------------------------------------- engine multiplexed ---
 
-TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
-  const CVec& h = crossing_trace();
+/// Samples [pos, pos + n) of `h`, clipped to its end, as an offerable chunk.
+CVec slice(const CVec& h, std::size_t pos, std::size_t n) {
+  const CSpan c = CSpan(h).subspan(pos, std::min(n, h.size() - pos));
+  return CVec(c.begin(), c.end());
+}
 
-  // Standalone facade session, chunked exactly as the engine will see it.
+TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
+  // Two sessions with different traces, specs and chunkings share one
+  // engine and are fed interleaved, so their events interleave in the
+  // engine's queue and only the session tag tells them apart.
+  const CVec& h = crossing_trace();
+  const CVec g = sim::synthetic_mover_trace(1500, 4321, 0.6);
+  api::PipelineSpec count_spec;
+  count_spec.count = api::CountStage{};
+
+  // Standalone facade sessions, chunked exactly as the engine will see them.
   api::Session standalone(full_spec());
-  std::vector<api::Event> standalone_events;
+  api::Session standalone2(count_spec);
   for (std::size_t pos = 0; pos < h.size(); pos += 96)
-    standalone.push(CSpan(h).subspan(pos, std::min<std::size_t>(96, h.size() - pos)));
+    standalone.push(slice(h, pos, 96));
+  for (std::size_t pos = 0; pos < g.size(); pos += 64)
+    standalone2.push(slice(g, pos, 64));
   standalone.finish();
+  standalone2.finish();
+  std::vector<api::Event> standalone_events, standalone2_events;
   standalone.poll(standalone_events);
+  standalone2.poll(standalone2_events);
 
   rt::Engine engine({.num_threads = 2});
   rt::IngestConfig ingest;
   ingest.backpressure = rt::Backpressure::kBlock;
   const rt::SessionId id = engine.open_session(full_spec(), ingest);
-  for (std::size_t pos = 0; pos < h.size(); pos += 96) {
-    CSpan c = CSpan(h).subspan(pos, std::min<std::size_t>(96, h.size() - pos));
-    engine.offer(id, CVec(c.begin(), c.end()));
+  const rt::SessionId id2 = engine.open_session(count_spec, ingest);
+  for (std::size_t a = 0, b = 0; a < h.size() || b < g.size();
+       a += 96, b += 64) {
+    if (a < h.size()) engine.offer(id, slice(h, a, 96));
+    if (b < g.size()) engine.offer(id2, slice(g, b, 64));
   }
   engine.close_session(id);
+  engine.close_session(id2);
   engine.drain();
 
   expect_images_identical(standalone.image(), engine.tracker(id).image(),
@@ -389,60 +406,22 @@ TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
                              "engine tracks");
   EXPECT_EQ(engine.pipeline(id).spatial_variance(),
             standalone.spatial_variance());
+  expect_images_identical(standalone2.image(), engine.tracker(id2).image(),
+                          "second engine image");
 
-  // The engine's legacy event stream, converted back to typed events, is
-  // the standalone session's event stream.
-  std::vector<rt::Event> legacy;
-  engine.poll(legacy);
-  std::vector<api::Event> engine_events;
-  for (const rt::Event& e : legacy) {
-    ASSERT_EQ(e.session, id);
-    engine_events.push_back(rt::to_api_event(e));
+  // Filtered on its session tag, each engine stream is exactly its
+  // standalone session's stream.
+  std::vector<rt::Event> events;
+  engine.poll(events);
+  std::vector<api::Event> engine_events, engine2_events;
+  for (rt::Event& e : events) {
+    ASSERT_TRUE(e.session == id || e.session == id2) << e.session;
+    (e.session == id ? engine_events : engine2_events)
+        .push_back(std::move(e.event));
   }
   expect_events_identical(standalone_events, engine_events, "engine events");
-}
-
-TEST(EngineFacadeParity, LegacySessionConfigShimEqualsSpec) {
-  const CVec& h = crossing_trace();
-
-  rt::SessionConfig legacy_cfg;
-  legacy_cfg.track_targets = true;
-  legacy_cfg.count_movers = true;
-  legacy_cfg.decode_gestures = true;
-  legacy_cfg.backpressure = rt::Backpressure::kBlock;
-
-  // The shim conversion round-trips.
-  const api::PipelineSpec spec = rt::to_pipeline_spec(legacy_cfg);
-  EXPECT_TRUE(spec.track && spec.gesture && spec.count);
-  const rt::SessionConfig round =
-      rt::to_session_config(spec, rt::to_ingest_config(legacy_cfg));
-  EXPECT_EQ(round.track_targets, legacy_cfg.track_targets);
-  EXPECT_EQ(round.count_movers, legacy_cfg.count_movers);
-  EXPECT_EQ(round.decode_gestures, legacy_cfg.decode_gestures);
-  EXPECT_EQ(round.emit_columns, legacy_cfg.emit_columns);
-  EXPECT_EQ(round.counter_cap_db, legacy_cfg.counter_cap_db);
-  EXPECT_EQ(round.ring_capacity, legacy_cfg.ring_capacity);
-  EXPECT_EQ(round.backpressure, legacy_cfg.backpressure);
-  EXPECT_EQ(round.t0, legacy_cfg.t0);
-
-  // Both engine entry points produce identical results.
-  rt::Engine engine({.num_threads = 2});
-  const rt::SessionId via_legacy = engine.open_session(legacy_cfg);
-  const rt::SessionId via_spec = engine.open_session(
-      rt::to_pipeline_spec(legacy_cfg), rt::to_ingest_config(legacy_cfg));
-  for (std::size_t pos = 0; pos < h.size(); pos += 128) {
-    CSpan c = CSpan(h).subspan(pos, std::min<std::size_t>(128, h.size() - pos));
-    engine.offer(via_legacy, CVec(c.begin(), c.end()));
-    engine.offer(via_spec, CVec(c.begin(), c.end()));
-  }
-  engine.close_session(via_legacy);
-  engine.close_session(via_spec);
-  engine.drain();
-  expect_images_identical(engine.tracker(via_legacy).image(),
-                          engine.tracker(via_spec).image(), "shim image");
-  expect_histories_identical(engine.multi_tracker(via_legacy).histories(),
-                             engine.multi_tracker(via_spec).histories(),
-                             "shim tracks");
+  expect_events_identical(standalone2_events, engine2_events,
+                          "second engine events");
 }
 
 TEST(EngineFacadeParity, RunRecordedEqualsParallelRun) {
@@ -479,9 +458,9 @@ TEST(SessionLifecycle, RejectsUseAfterFinish) {
 TEST(SessionLifecycle, AccessorsRequireTheirStage) {
   api::PipelineSpec spec;  // image only
   api::Session session(spec);
-  EXPECT_THROW(session.multi_tracker(), InvalidArgument);
-  EXPECT_THROW(session.gesture_result(), InvalidArgument);
-  EXPECT_THROW(session.spatial_variance(), InvalidArgument);
+  EXPECT_THROW((void)session.multi_tracker(), InvalidArgument);
+  EXPECT_THROW((void)session.gesture_result(), InvalidArgument);
+  EXPECT_THROW((void)session.spatial_variance(), InvalidArgument);
 }
 
 TEST(SessionLifecycle, CallbackMustBeInstalledFresh) {

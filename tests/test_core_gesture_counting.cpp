@@ -173,10 +173,6 @@ TEST(GestureDecode, WeakGestureIsErasedNotFlipped) {
   const Bit bits[] = {Bit::kZero, Bit::kOne};
   const GestureDecoder decoder;
   const auto r = decoder.decode(paint_message(bits, 0.02));
-  for (const auto& b : r.bits) {
-    // Anything decoded must be correct, in order.
-    SUCCEED();
-  }
   EXPECT_LE(r.bits.size(), 2u);
   // Key property: no wrong-valued bits. With two distinct bits painted,
   // a flip would show as kOne before kZero.
@@ -279,7 +275,7 @@ TEST(Counting, ClassifierRejectsUnusableTraining) {
   EXPECT_THROW(clf.train({{0, 1.0}, {0, 2.0}}), InvalidArgument);  // one class
   // Failed training must not leave partial state behind.
   EXPECT_FALSE(clf.trained());
-  EXPECT_THROW(clf.classify(1.0), InvalidArgument);  // untrained
+  EXPECT_THROW((void)clf.classify(1.0), InvalidArgument);  // untrained
 }
 
 TEST(Counting, ClassifierPoolsInvertedAdjacentClasses) {

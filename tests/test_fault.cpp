@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/api/session.hpp"
@@ -403,12 +404,19 @@ TEST(Chaos, EightSessionsFaultedSessionsDieTypedCleanSessionsBitIdentical) {
 
   std::vector<rt::Event> events;
   engine.poll(events);
-  const auto last_of = [&](rt::SessionId id) -> const rt::Event& {
+  const auto last_of = [&](rt::SessionId id) -> const api::Event& {
     const rt::Event* last = nullptr;
     for (const rt::Event& e : events)
       if (e.session == id) last = &e;
     EXPECT_NE(last, nullptr);
-    return *last;
+    return last->event;
+  };
+  const auto finished = [&](rt::SessionId id) {
+    return std::holds_alternative<api::FinishedEvent>(last_of(id));
+  };
+  const auto terminal_error = [&](rt::SessionId id) {
+    const auto* err = std::get_if<api::ErrorEvent>(&last_of(id));
+    return err ? err->code : ErrorCode::kNone;
   };
 
   // Clean sessions: bit-identical to a standalone no-fault pass.
@@ -421,7 +429,7 @@ TEST(Chaos, EightSessionsFaultedSessionsDieTypedCleanSessionsBitIdentical) {
     EXPECT_EQ(engine.pipeline(ids[s]).spatial_variance(),
               reference.spatial_variance())
         << s;
-    EXPECT_EQ(last_of(ids[s]).type, rt::Event::Type::kFinished) << s;
+    EXPECT_TRUE(finished(ids[s])) << s;
     const auto st = engine.stats(ids[s]);
     EXPECT_EQ(st.chunks_dropped, 0u) << s;
     EXPECT_EQ(st.chunks_rejected, 0u) << s;
@@ -432,46 +440,38 @@ TEST(Chaos, EightSessionsFaultedSessionsDieTypedCleanSessionsBitIdentical) {
   {
     const auto st = engine.stats(ids[4]);
     EXPECT_TRUE(st.finished);
-    EXPECT_EQ(last_of(ids[4]).type, rt::Event::Type::kFinished);
+    EXPECT_TRUE(finished(ids[4]));
     EXPECT_EQ(st.chunks_rejected, feeder4.stats().corrupted);
-    EXPECT_EQ(last_of(ids[4]).chunks_rejected, st.chunks_rejected);
   }
 
-  // Session 5 (scripted throw, no restarts): terminal typed kError.
-  {
-    const rt::Event& last = last_of(ids[5]);
-    EXPECT_EQ(last.type, rt::Event::Type::kError);
-    EXPECT_EQ(last.code, ErrorCode::kStageFailure);
-    EXPECT_TRUE(engine.stats(ids[5]).finished);
-  }
+  // Session 5 (scripted throw, no restarts): terminal typed ErrorEvent.
+  EXPECT_EQ(terminal_error(ids[5]), ErrorCode::kStageFailure);
+  EXPECT_TRUE(engine.stats(ids[5]).finished);
 
-  // Session 6 (scripted throw under RestartPolicy): kError then
-  // kRecovered, then runs to a healthy kFinished.
+  // Session 6 (scripted throw under RestartPolicy): ErrorEvent then
+  // RecoveredEvent, then runs to a healthy FinishedEvent.
   {
     bool saw_error = false;
     bool saw_recovered_after_error = false;
     for (const rt::Event& e : events) {
       if (e.session != ids[6]) continue;
-      if (e.type == rt::Event::Type::kError) saw_error = true;
-      if (e.type == rt::Event::Type::kRecovered && saw_error) {
+      if (std::holds_alternative<api::ErrorEvent>(e.event)) saw_error = true;
+      const auto* rec = std::get_if<api::RecoveredEvent>(&e.event);
+      if (rec && saw_error) {
         saw_recovered_after_error = true;
-        EXPECT_EQ(e.code, ErrorCode::kStageFailure);
-        EXPECT_EQ(e.restarts, 1);
+        EXPECT_EQ(rec->cause, ErrorCode::kStageFailure);
+        EXPECT_EQ(rec->restarts, 1);
       }
     }
     EXPECT_TRUE(saw_recovered_after_error);
-    EXPECT_EQ(last_of(ids[6]).type, rt::Event::Type::kFinished);
+    EXPECT_TRUE(finished(ids[6]));
     EXPECT_EQ(engine.stats(ids[6]).restarts, 1);
   }
 
   // Session 7 (feeder death): the fatal watchdog resolves it with a
   // typed kTimeout terminal error.
-  {
-    const rt::Event& last = last_of(ids[7]);
-    EXPECT_EQ(last.type, rt::Event::Type::kError);
-    EXPECT_EQ(last.code, ErrorCode::kTimeout);
-    EXPECT_TRUE(engine.stats(ids[7]).finished);
-  }
+  EXPECT_EQ(terminal_error(ids[7]), ErrorCode::kTimeout);
+  EXPECT_TRUE(engine.stats(ids[7]).finished);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/api/session.hpp"
@@ -497,19 +498,19 @@ TEST(EngineObs, PeriodicStatsEventsCarryLiveCounters) {
 
   std::vector<rt::Event> events;
   engine.poll(events);
-  std::vector<const rt::Event*> stats_events;
+  std::vector<const api::StatsEvent*> stats_events;
   for (const rt::Event& e : events)
-    if (e.type == rt::Event::Type::kStats) stats_events.push_back(&e);
-  ASSERT_FALSE(stats_events.empty()) << "no kStats events in "
+    if (const auto* st = std::get_if<api::StatsEvent>(&e.event))
+      stats_events.push_back(st);
+  ASSERT_FALSE(stats_events.empty()) << "no StatsEvents in "
                                      << events.size() << " events";
-  const rt::SessionStats& last = stats_events.back()->stats;
+  const api::StatsEvent& last = *stats_events.back();
   EXPECT_GT(last.chunks_in, 0u);
   EXPECT_EQ(last.samples_in, h.size());
   EXPECT_GT(last.latency.count, 0u);
   // Counters only grow across successive stats events.
   for (std::size_t i = 1; i < stats_events.size(); ++i)
-    EXPECT_GE(stats_events[i]->stats.chunks_in,
-              stats_events[i - 1]->stats.chunks_in);
+    EXPECT_GE(stats_events[i]->chunks_in, stats_events[i - 1]->chunks_in);
 }
 
 TEST(EngineObs, FakeClockMakesTheWatchdogDeterministic) {
@@ -542,8 +543,8 @@ TEST(EngineObs, FakeClockMakesTheWatchdogDeterministic) {
   engine.poll(events);
   const bool timed_out = std::any_of(
       events.begin(), events.end(), [](const rt::Event& e) {
-        return e.type == rt::Event::Type::kError &&
-               e.code == ErrorCode::kTimeout;
+        const auto* err = std::get_if<api::ErrorEvent>(&e.event);
+        return err && err->code == ErrorCode::kTimeout;
       });
   EXPECT_TRUE(timed_out);
 }

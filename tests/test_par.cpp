@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "src/core/tracker.hpp"
@@ -230,21 +231,22 @@ TEST(RunRecorded, MatchesBuilderOutputAndDeliversFullEventStream) {
   ec.num_threads = 3;
   rt::Engine engine(ec);
 
-  rt::SessionConfig sc;
-  sc.count_movers = true;
-  sc.t0 = 1.5;
-  const rt::SessionId id = engine.run_recorded(sc, h);
+  api::PipelineSpec spec;
+  spec.count = api::CountStage{};
+  spec.t0 = 1.5;
+  const rt::SessionId id = engine.run_recorded(spec, h);
 
   // The session is finished on return and the image is the builder's.
   EXPECT_TRUE(engine.stats(id).finished);
   const core::AngleTimeImage want =
-      par::ParallelImageBuilder(sc.tracker, ec.num_threads).build(h, sc.t0);
+      par::ParallelImageBuilder(spec.image.tracker, ec.num_threads)
+          .build(h, spec.t0);
   expect_images_bit_identical(want, engine.tracker(id).image());
   EXPECT_EQ(engine.tracker(id).samples_seen(), h.size());
   EXPECT_EQ(engine.stats(id).columns_out, want.num_times());
 
-  // Events: every column once in order, one kCount, then kFinished with
-  // the batch spatial variance of the (parallel) image.
+  // Events: every column once in order, one CountEvent, then a
+  // FinishedEvent with the batch spatial variance of the (parallel) image.
   std::vector<rt::Event> events;
   engine.poll(events);
   std::size_t next_col = 0;
@@ -252,19 +254,19 @@ TEST(RunRecorded, MatchesBuilderOutputAndDeliversFullEventStream) {
   bool finished = false;
   for (const rt::Event& e : events) {
     ASSERT_EQ(e.session, id);
-    if (e.type == rt::Event::Type::kColumn) {
+    if (const auto* c = std::get_if<api::ColumnEvent>(&e.event)) {
       EXPECT_FALSE(finished);
-      EXPECT_EQ(e.column_index, next_col);
-      ASSERT_EQ(e.column.size(), want.num_angles());
-      for (std::size_t a = 0; a < e.column.size(); ++a)
-        EXPECT_EQ(e.column[a], want.columns[next_col][a]);
+      EXPECT_EQ(c->column_index, next_col);
+      ASSERT_EQ(c->column.size(), want.num_angles());
+      for (std::size_t a = 0; a < c->column.size(); ++a)
+        EXPECT_EQ(c->column[a], want.columns[next_col][a]);
       ++next_col;
-    } else if (e.type == rt::Event::Type::kCount) {
+    } else if (std::holds_alternative<api::CountEvent>(e.event)) {
       ++counts;
-    } else if (e.type == rt::Event::Type::kFinished) {
+    } else if (const auto* f = std::get_if<api::FinishedEvent>(&e.event)) {
       finished = true;
-      EXPECT_EQ(e.spatial_variance, core::spatial_variance(want));
-      EXPECT_EQ(e.columns_seen, want.num_times());
+      EXPECT_EQ(f->spatial_variance, core::spatial_variance(want));
+      EXPECT_EQ(f->columns_seen, want.num_times());
     }
   }
   EXPECT_EQ(next_col, want.num_times());
@@ -280,15 +282,15 @@ TEST(RunRecorded, TrackTargetsSessionMatchesBatchTrackImage) {
   rt::Engine::Config ec;
   ec.num_threads = 2;
   rt::Engine engine(ec);
-  rt::SessionConfig sc;
-  sc.emit_columns = false;
-  sc.track_targets = true;
-  const rt::SessionId id = engine.run_recorded(sc, h);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  const rt::SessionId id = engine.run_recorded(spec, h);
   EXPECT_TRUE(engine.stats(id).finished);
 
   const core::AngleTimeImage img =
-      par::ParallelImageBuilder(sc.tracker, ec.num_threads).build(h);
-  const auto want = track::track_image(img, sc.multi_track);
+      par::ParallelImageBuilder(spec.image.tracker, ec.num_threads).build(h);
+  const auto want = track::track_image(img, spec.track->tracker);
   const auto got = engine.multi_tracker(id).histories();
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {

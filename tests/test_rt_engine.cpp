@@ -13,6 +13,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/common/random.hpp"
@@ -22,6 +23,24 @@
 
 namespace wivi {
 namespace {
+
+/// A count-stage pipeline, column events on unless `emit_columns` is false.
+api::PipelineSpec count_spec(bool emit_columns = true) {
+  api::PipelineSpec spec;
+  spec.image.emit_columns = emit_columns;
+  spec.count = api::CountStage{};
+  return spec;
+}
+
+/// Ingest policy `policy` over a ring of `ring_capacity` chunks.
+rt::IngestConfig ingest_of(
+    rt::Backpressure policy,
+    std::size_t ring_capacity = rt::IngestConfig{}.ring_capacity) {
+  rt::IngestConfig ingest;
+  ingest.ring_capacity = ring_capacity;
+  ingest.backpressure = policy;
+  return ingest;
+}
 
 std::vector<CVec> make_session_traces(std::size_t sessions, std::size_t len) {
   std::vector<CVec> traces;
@@ -44,14 +63,9 @@ std::vector<core::AngleTimeImage> run_engine(
   rt::Engine engine(ec);
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.emit_columns = false;
-    sc.count_movers = true;
-    sc.ring_capacity = ring_capacity;
-    sc.backpressure = policy;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(engine.open_session(count_spec(false),
+                                      ingest_of(policy, ring_capacity)));
   // Round-robin feeding interleaves the sessions like concurrent sensors.
   std::vector<std::size_t> pos(traces.size(), 0);
   bool any = true;
@@ -101,10 +115,8 @@ TEST(Engine, MatchesBatchPipelineThroughOneSession) {
   rt::Engine::Config ec;
   ec.num_threads = 2;
   rt::Engine engine(ec);
-  rt::SessionConfig sc;
-  sc.backpressure = rt::Backpressure::kBlock;
-  sc.count_movers = true;
-  const rt::SessionId id = engine.open_session(sc);
+  const rt::SessionId id =
+      engine.open_session(count_spec(), ingest_of(rt::Backpressure::kBlock));
   for (std::size_t pos = 0; pos < h.size(); pos += 100) {
     CVec c(h.begin() + static_cast<std::ptrdiff_t>(pos),
            h.begin() +
@@ -117,23 +129,24 @@ TEST(Engine, MatchesBatchPipelineThroughOneSession) {
   expect_images_identical(batch, engine.tracker(id).image());
 
   // The event stream carries every column exactly once, in order, plus a
-  // final kFinished with the batch spatial variance.
+  // final FinishedEvent with the batch spatial variance.
   std::vector<rt::Event> events;
   engine.poll(events);
   std::size_t next_col = 0;
   bool finished = false;
   for (const rt::Event& e : events) {
-    if (e.type == rt::Event::Type::kColumn) {
-      EXPECT_EQ(e.column_index, next_col);
-      EXPECT_EQ(e.time_sec, batch.times_sec[next_col]);
-      ASSERT_EQ(e.column.size(), batch.num_angles());
-      for (std::size_t a = 0; a < e.column.size(); ++a)
-        EXPECT_EQ(e.column[a], batch.columns[next_col][a]);
+    EXPECT_EQ(e.session, id);
+    if (const auto* c = std::get_if<api::ColumnEvent>(&e.event)) {
+      EXPECT_EQ(c->column_index, next_col);
+      EXPECT_EQ(c->time_sec, batch.times_sec[next_col]);
+      ASSERT_EQ(c->column.size(), batch.num_angles());
+      for (std::size_t a = 0; a < c->column.size(); ++a)
+        EXPECT_EQ(c->column[a], batch.columns[next_col][a]);
       ++next_col;
-    } else if (e.type == rt::Event::Type::kFinished) {
+    } else if (const auto* f = std::get_if<api::FinishedEvent>(&e.event)) {
       finished = true;
-      EXPECT_EQ(e.spatial_variance, core::spatial_variance(batch));
-      EXPECT_EQ(e.columns_seen, batch.num_times());
+      EXPECT_EQ(f->spatial_variance, core::spatial_variance(batch));
+      EXPECT_EQ(f->columns_seen, batch.num_times());
     }
   }
   EXPECT_EQ(next_col, batch.num_times());
@@ -170,18 +183,11 @@ TEST(Engine, ConcurrentProducersStress) {
 
   std::vector<rt::SessionId> ids;
   for (std::size_t s = 0; s < kSessions; ++s) {
-    rt::SessionConfig sc;
-    sc.emit_columns = (s % 2 == 0);
-    sc.count_movers = true;
-    sc.decode_gestures = (s % 3 == 0);
-    if (s < 2) {
-      sc.ring_capacity = 2;
-      sc.backpressure = rt::Backpressure::kDropNewest;
-    } else {
-      sc.ring_capacity = 4;
-      sc.backpressure = rt::Backpressure::kBlock;
-    }
-    ids.push_back(engine.open_session(sc));
+    api::PipelineSpec spec = count_spec(s % 2 == 0);
+    if (s % 3 == 0) spec.gesture = api::GestureStage{};
+    ids.push_back(engine.open_session(
+        std::move(spec), s < 2 ? ingest_of(rt::Backpressure::kDropNewest, 2)
+                               : ingest_of(rt::Backpressure::kBlock, 4)));
   }
 
   std::vector<std::thread> producers;
@@ -237,12 +243,9 @@ TEST(Engine, CallbackDeliveryAndPerSessionOrder) {
   });
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.count_movers = true;
-    sc.backpressure = rt::Backpressure::kBlock;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(
+        engine.open_session(count_spec(), ingest_of(rt::Backpressure::kBlock)));
   for (std::size_t s = 0; s < traces.size(); ++s) {
     for (std::size_t pos = 0; pos < traces[s].size(); pos += 50) {
       CVec c(traces[s].begin() + static_cast<std::ptrdiff_t>(pos),
@@ -261,14 +264,16 @@ TEST(Engine, CallbackDeliveryAndPerSessionOrder) {
   for (rt::SessionId id : ids) {
     const auto& events = per_session[id];
     ASSERT_FALSE(events.empty());
-    // Columns arrive in index order; the last event is kFinished.
+    // Columns arrive in index order; the last event is FinishedEvent.
     std::size_t next_col = 0;
     for (const rt::Event& e : events) {
-      if (e.type == rt::Event::Type::kColumn) {
-        EXPECT_EQ(e.column_index, next_col++);
+      EXPECT_EQ(e.session, id);
+      if (const auto* c = std::get_if<api::ColumnEvent>(&e.event)) {
+        EXPECT_EQ(c->column_index, next_col++);
       }
     }
-    EXPECT_EQ(events.back().type, rt::Event::Type::kFinished);
+    EXPECT_TRUE(
+        std::holds_alternative<api::FinishedEvent>(events.back().event));
     EXPECT_GT(next_col, 0u);
   }
 }
@@ -289,12 +294,9 @@ TEST(Engine, ThrowingCallbackFailsOnlyItsSession) {
   });
 
   std::vector<rt::SessionId> ids;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
-    rt::SessionConfig sc;
-    sc.count_movers = true;
-    sc.backpressure = rt::Backpressure::kBlock;
-    ids.push_back(engine.open_session(sc));
-  }
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    ids.push_back(
+        engine.open_session(count_spec(), ingest_of(rt::Backpressure::kBlock)));
   poison = ids[0];
   for (std::size_t s = 0; s < traces.size(); ++s) {
     for (std::size_t pos = 0; pos < traces[s].size(); pos += 64) {
@@ -316,14 +318,15 @@ TEST(Engine, ThrowingCallbackFailsOnlyItsSession) {
                           engine.tracker(ids[1]).image());
   std::lock_guard lk(mu);
   for (const rt::Event& e : good_events) EXPECT_EQ(e.session, ids[1]);
-  EXPECT_EQ(good_events.back().type, rt::Event::Type::kFinished);
+  EXPECT_TRUE(
+      std::holds_alternative<api::FinishedEvent>(good_events.back().event));
 }
 
 TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
-  // Error-path lifecycle: once a session has died (kError delivered), no
+  // Error-path lifecycle: once a session has died (ErrorEvent delivered), no
   // worker may touch it again — in particular a stale pre-claim check must
   // not let a second worker process its still-filling ring and deliver
-  // another kError (or any event) for the already-dead id. Poisoned
+  // another ErrorEvent (or any event) for the already-dead id. Poisoned
   // callbacks + concurrent producers + small rings widen the race window;
   // repeated engine lifetimes cover the construction/teardown edges too.
   constexpr std::size_t kSessions = 4;
@@ -337,25 +340,23 @@ TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
     rt::Engine engine(ec);
 
     std::mutex mu;
-    std::map<rt::SessionId, std::vector<rt::Event::Type>> seen;
+    // Per session, whether each delivered event was an ErrorEvent.
+    std::map<rt::SessionId, std::vector<bool>> seen;
     engine.set_callback([&](rt::Event&& e) {
       {
         std::lock_guard lk(mu);
-        seen[e.session].push_back(e.type);
+        seen[e.session].push_back(
+            std::holds_alternative<api::ErrorEvent>(e.event));
       }
-      // Every session's first kColumn poisons it.
-      if (e.type == rt::Event::Type::kColumn)
+      // Every session's first ColumnEvent poisons it.
+      if (std::holds_alternative<api::ColumnEvent>(e.event))
         throw std::runtime_error("poisoned consumer");
     });
 
     std::vector<rt::SessionId> ids;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      rt::SessionConfig sc;
-      sc.count_movers = true;
-      sc.ring_capacity = 2;
-      sc.backpressure = rt::Backpressure::kBlock;
-      ids.push_back(engine.open_session(sc));
-    }
+    for (std::size_t s = 0; s < kSessions; ++s)
+      ids.push_back(engine.open_session(
+          count_spec(), ingest_of(rt::Backpressure::kBlock, 2)));
     std::vector<std::thread> producers;
     for (std::size_t s = 0; s < kSessions; ++s) {
       producers.emplace_back([&, s] {
@@ -376,13 +377,12 @@ TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
       EXPECT_TRUE(engine.stats(id).finished);
       const auto& events = seen[id];
       const std::size_t errors = static_cast<std::size_t>(
-          std::count(events.begin(), events.end(), rt::Event::Type::kError));
+          std::count(events.begin(), events.end(), true));
       ASSERT_EQ(errors, 1u) << "session " << id << " round " << round;
-      // kError is terminal: nothing may follow it.
-      const auto first_err =
-          std::find(events.begin(), events.end(), rt::Event::Type::kError);
+      // ErrorEvent is terminal: nothing may follow it.
+      const auto first_err = std::find(events.begin(), events.end(), true);
       EXPECT_EQ(first_err + 1, events.end())
-          << "session " << id << " got events after kError";
+          << "session " << id << " got events after ErrorEvent";
     }
   }
 }
@@ -390,7 +390,7 @@ TEST(Engine, DeadSessionNeverEmitsASecondErrorOrAnyLaterEvent) {
 TEST(Engine, RejectsMisuse) {
   rt::Engine engine;  // default config
   EXPECT_THROW((void)engine.stats(0), std::exception);
-  const rt::SessionId id = engine.open_session(rt::SessionConfig{});
+  const rt::SessionId id = engine.open_session(api::PipelineSpec{});
   engine.close_session(id);
   EXPECT_THROW((void)engine.offer(id, CVec(10)), std::exception);
   engine.drain();

@@ -1,17 +1,19 @@
 // rt::Engine failure handling (DESIGN.md §9): the liveness watchdog
-// (advisory kStalled, fatal kTimeout — including the never-fed-session
+// (advisory StalledEvent, fatal kTimeout — including the never-fed-session
 // case), bounded-retry RestartPolicy recovery, InputGuard rejection
 // accounting inside the engine, the overload degrade/restore ladder, and
-// drop-count plumbing into terminal events. Timing-sensitive tests use
-// generous deadlines and bounded loops so they stay robust under
-// sanitizers and loaded CI machines.
+// the loss counters Engine::stats() reports once a session finishes.
+// Timing-sensitive tests use generous deadlines and bounded loops so they
+// stay robust under sanitizers and loaded CI machines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/api/session.hpp"
@@ -39,6 +41,12 @@ void feed_all(Engine& engine, SessionId id, const CVec& trace) {
   }
 }
 
+/// True when the engine event carries an api::Event alternative of type T.
+template <typename T>
+bool is(const Event& e) {
+  return std::holds_alternative<T>(e.event);
+}
+
 std::vector<Event> events_of(Engine& engine, SessionId id) {
   std::vector<Event> all;
   engine.poll(all);
@@ -53,7 +61,7 @@ std::vector<Event> events_of(Engine& engine, SessionId id) {
 TEST(Watchdog, NeverFedSessionResolvesWithTypedTimeout) {
   // A session that is opened but never offered a chunk and never closed
   // used to hang drain() forever; with a fatal watchdog it must resolve
-  // on its own with a terminal typed kError(kTimeout).
+  // on its own with a terminal typed ErrorEvent(kTimeout).
   Engine::Config ec;
   ec.num_threads = 2;
   Engine engine(ec);
@@ -67,15 +75,13 @@ TEST(Watchdog, NeverFedSessionResolvesWithTypedTimeout) {
 
   const std::vector<Event> events = events_of(engine, id);
   ASSERT_FALSE(events.empty());
-  const Event& last = events.back();
-  EXPECT_EQ(last.type, Event::Type::kError);
-  EXPECT_EQ(last.code, ErrorCode::kTimeout);
+  const auto* last = std::get_if<api::ErrorEvent>(&events.back().event);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->code, ErrorCode::kTimeout);
   // The advisory fired on the way down (silence passed 1x the deadline
   // before it passed 2x).
   const bool stalled =
-      std::any_of(events.begin(), events.end(), [](const Event& e) {
-        return e.type == Event::Type::kStalled;
-      });
+      std::any_of(events.begin(), events.end(), is<api::StalledEvent>);
   EXPECT_TRUE(stalled);
   const auto st = engine.stats(id);
   EXPECT_TRUE(st.finished);
@@ -122,12 +128,11 @@ TEST(Watchdog, AdvisoryStallIsOneShotAndTheSessionFinishesHealthy) {
   engine.drain();
 
   const std::vector<Event> events = events_of(engine, id);
-  const auto stall_count = std::count_if(
-      events.begin(), events.end(),
-      [](const Event& e) { return e.type == Event::Type::kStalled; });
-  EXPECT_EQ(stall_count, 1) << "kStalled must be one-shot per silence";
+  const auto stall_count =
+      std::count_if(events.begin(), events.end(), is<api::StalledEvent>);
+  EXPECT_EQ(stall_count, 1) << "StalledEvent must be one-shot per silence";
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, Event::Type::kFinished);
+  EXPECT_TRUE(is<api::FinishedEvent>(events.back()));
 
   // The stall was advisory only: the output is bit-identical to an
   // uninterrupted standalone run over the same trace.
@@ -156,23 +161,27 @@ TEST(Restart, MidTraceFailureRestartsAndEmitsRecovered) {
   engine.close_session(id);
   engine.drain();
 
-  // Event order: ... kError(kStageFailure) -> kRecovered -> ... kFinished.
+  // Event order: ... ErrorEvent(kStageFailure) -> RecoveredEvent -> ...
+  // FinishedEvent.
   const std::vector<Event> events = events_of(engine, id);
   std::size_t i_error = events.size();
   std::size_t i_recovered = events.size();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].type == Event::Type::kError && i_error == events.size())
+    if (is<api::ErrorEvent>(events[i]) && i_error == events.size())
       i_error = i;
-    if (events[i].type == Event::Type::kRecovered) i_recovered = i;
+    if (is<api::RecoveredEvent>(events[i])) i_recovered = i;
   }
   ASSERT_LT(i_error, events.size()) << "the injected failure must surface";
   ASSERT_LT(i_recovered, events.size());
-  EXPECT_LT(i_error, i_recovered) << "kRecovered follows the kError";
-  EXPECT_EQ(events[i_error].code, ErrorCode::kStageFailure);
-  EXPECT_EQ(events[i_recovered].code, ErrorCode::kStageFailure);
-  EXPECT_EQ(events[i_recovered].restarts, 1);
+  EXPECT_LT(i_error, i_recovered) << "RecoveredEvent follows the ErrorEvent";
+  EXPECT_EQ(std::get<api::ErrorEvent>(events[i_error].event).code,
+            ErrorCode::kStageFailure);
+  const auto& recovered =
+      std::get<api::RecoveredEvent>(events[i_recovered].event);
+  EXPECT_EQ(recovered.cause, ErrorCode::kStageFailure);
+  EXPECT_EQ(recovered.restarts, 1);
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, Event::Type::kFinished);
+  EXPECT_TRUE(is<api::FinishedEvent>(events.back()));
 
   const auto st = engine.stats(id);
   EXPECT_TRUE(st.finished);
@@ -205,17 +214,15 @@ TEST(Restart, ExhaustedRestartsAreTerminal) {
   engine.drain();
 
   const std::vector<Event> events = events_of(engine, id);
-  const auto recovered = std::count_if(
-      events.begin(), events.end(),
-      [](const Event& e) { return e.type == Event::Type::kRecovered; });
+  const auto recovered =
+      std::count_if(events.begin(), events.end(), is<api::RecoveredEvent>);
   EXPECT_EQ(recovered, 1) << "exactly max_restarts recoveries";
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, Event::Type::kError);
-  EXPECT_EQ(events.back().code, ErrorCode::kStageFailure);
+  const auto* last = std::get_if<api::ErrorEvent>(&events.back().event);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->code, ErrorCode::kStageFailure);
   const bool finished_event =
-      std::any_of(events.begin(), events.end(), [](const Event& e) {
-        return e.type == Event::Type::kFinished;
-      });
+      std::any_of(events.begin(), events.end(), is<api::FinishedEvent>);
   EXPECT_FALSE(finished_event) << "a dead session must not finish healthy";
 
   const auto st = engine.stats(id);
@@ -257,8 +264,7 @@ TEST(InputRejection, MalformedChunkIsCountedAndDoesNotPerturbTheStream) {
 
   const std::vector<Event> events = events_of(engine, id);
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, Event::Type::kFinished);
-  EXPECT_EQ(events.back().chunks_rejected, 1u);
+  EXPECT_TRUE(is<api::FinishedEvent>(events.back()));
 
   // Conservation: every offered sample is seen, dropped, or rejected.
   EXPECT_EQ(engine.pipeline(id).samples_seen(),
@@ -334,42 +340,58 @@ TEST(Overload, LadderDegradesUnderDropsAndRestoresAfterQuiet) {
   std::size_t i_down = events.size();
   std::size_t i_up = events.size();
   for (std::size_t k = 0; k < events.size(); ++k) {
-    if (events[k].type != Event::Type::kOverload) continue;
-    if (events[k].degraded && i_down == events.size()) i_down = k;
-    if (!events[k].degraded) i_up = k;
+    const auto* ov = std::get_if<api::OverloadEvent>(&events[k].event);
+    if (!ov) continue;
+    if (ov->degraded && i_down == events.size()) i_down = k;
+    if (!ov->degraded) i_up = k;
   }
   ASSERT_LT(i_down, events.size());
   ASSERT_LT(i_up, events.size());
   EXPECT_LT(i_down, i_up);
-  EXPECT_EQ(events[i_down].fidelity, 4);
-  EXPECT_GT(events[i_down].chunks_dropped, 0u);
-  EXPECT_EQ(events[i_up].fidelity, 1);
+  const auto& down = std::get<api::OverloadEvent>(events[i_down].event);
+  EXPECT_EQ(down.fidelity, 4);
+  EXPECT_GT(down.chunks_dropped, 0u);
+  EXPECT_EQ(std::get<api::OverloadEvent>(events[i_up].event).fidelity, 1);
 }
 
-TEST(Overload, FinishedEventCarriesTheDropCounters) {
+// ------------------------------------------------------ loss accounting ---
+
+TEST(LossAccounting, StatsReadAtFinishedEqualThePostDrainStats) {
+  // The FinishedEvent carries no loss counters; a consumer reads them from
+  // Engine::stats() when it arrives. Pin that they are already final then:
+  // a drop (kDropNewest on a flooded depth-1 ring) and an InputGuard
+  // rejection both land before the session finishes.
   Engine::Config ec;
   ec.num_threads = 1;
   Engine engine(ec);
+  std::optional<SessionStats> at_finish;
+  engine.set_callback([&](Event&& e) {
+    if (is<api::FinishedEvent>(e)) at_finish = engine.stats(e.session);
+  });
 
   IngestConfig ingest;
   ingest.ring_capacity = 1;
   ingest.backpressure = Backpressure::kDropNewest;
   const SessionId id = engine.open_session(count_spec(), std::move(ingest));
 
-  // Flood so some chunks are guaranteed to drop.
-  const CVec trace = sim::synthetic_mover_trace(4096, 41, 0.4);
-  feed_all(engine, id, trace);
+  // The poison chunk goes first, into the empty ring, so it cannot drop;
+  // the flood behind it must.
+  CVec bad(48, cdouble(1.0, 0.0));
+  bad[5] = cdouble(std::numeric_limits<double>::infinity(), 0.0);
+  ASSERT_TRUE(engine.offer(id, CVec(bad)));
+  feed_all(engine, id, sim::synthetic_mover_trace(4096, 41, 0.4));
   engine.close_session(id);
   engine.drain();
 
-  const auto st = engine.stats(id);
+  const SessionStats st = engine.stats(id);
   EXPECT_GT(st.chunks_dropped, 0u) << "flooding a depth-1 ring must drop";
-  const std::vector<Event> events = events_of(engine, id);
-  ASSERT_FALSE(events.empty());
-  const Event& fin = events.back();
-  ASSERT_EQ(fin.type, Event::Type::kFinished);
-  EXPECT_EQ(fin.chunks_dropped, st.chunks_dropped);
-  EXPECT_EQ(fin.samples_dropped, st.samples_dropped);
+  EXPECT_EQ(st.chunks_rejected, 1u);
+  EXPECT_EQ(st.samples_rejected, bad.size());
+  ASSERT_TRUE(at_finish.has_value()) << "no FinishedEvent was delivered";
+  EXPECT_EQ(at_finish->chunks_dropped, st.chunks_dropped);
+  EXPECT_EQ(at_finish->samples_dropped, st.samples_dropped);
+  EXPECT_EQ(at_finish->chunks_rejected, st.chunks_rejected);
+  EXPECT_EQ(at_finish->samples_rejected, st.samples_rejected);
   EXPECT_EQ(engine.pipeline(id).samples_seen(),
             st.samples_in - st.samples_dropped - st.samples_rejected);
 }

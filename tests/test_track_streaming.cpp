@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <variant>
 
 #include "src/core/tracker.hpp"
 #include "src/rt/engine.hpp"
@@ -96,11 +97,12 @@ TEST(EngineTracking, EngineSessionMatchesBatchBitForBit) {
   const auto batch = track::track_image(imager.process(h));
 
   rt::Engine engine({.num_threads = 2});
-  rt::SessionConfig cfg;
-  cfg.emit_columns = false;
-  cfg.track_targets = true;
-  cfg.backpressure = rt::Backpressure::kBlock;  // lossless: exact results
-  const rt::SessionId id = engine.open_session(cfg);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  rt::IngestConfig ingest;
+  ingest.backpressure = rt::Backpressure::kBlock;  // lossless: exact results
+  const rt::SessionId id = engine.open_session(spec, ingest);
   for (std::size_t pos = 0; pos < h.size(); pos += 200) {
     const std::size_t len = std::min<std::size_t>(200, h.size() - pos);
     CVec chunk(h.begin() + static_cast<std::ptrdiff_t>(pos),
@@ -113,16 +115,17 @@ TEST(EngineTracking, EngineSessionMatchesBatchBitForBit) {
   expect_histories_identical(batch, engine.multi_tracker(id).histories(),
                              "engine");
 
-  // kTracks events were delivered and the last one agrees with the final
+  // TracksEvents were delivered and the last one agrees with the final
   // confirmed-target count.
   std::vector<rt::Event> events;
   engine.poll(events);
   std::size_t tracks_events = 0;
   std::size_t last_confirmed = 0;
   for (const auto& e : events) {
-    if (e.type != rt::Event::Type::kTracks) continue;
+    const auto* t = std::get_if<api::TracksEvent>(&e.event);
+    if (!t) continue;
     ++tracks_events;
-    last_confirmed = e.num_confirmed;
+    last_confirmed = t->num_confirmed;
   }
   EXPECT_GT(tracks_events, 0u);
   EXPECT_EQ(last_confirmed, engine.multi_tracker(id).num_confirmed());
