@@ -188,25 +188,20 @@ void SmoothedMusic::pseudospectrum_from_correlation_into(
     const linalg::CMatrix& r, RSpan angles_deg, RVec& out,
     int* model_order_out) const {
   MusicScratch& ws = music_scratch();
-  linalg::hermitian_eig_into(r, ws.eig, ws.eig_ws);
-  const int order = estimate_model_order(ws.eig.values);
+  // Two-phase eigensolve: all eigenvalues first (they fix the model
+  // order), then eigenvectors for the signal subspace only.
+  linalg::hermitian_eig_factor(r, ws.eig_ws, ws.values);
+  const int order = estimate_model_order(ws.values);
   if (model_order_out != nullptr) *model_order_out = order;
 
   const std::size_t wp = r.rows();
-  const std::size_t num_noise = wp - static_cast<std::size_t>(order);
-
-  // Noise eigenvectors (columns order .. wp-1 of the eigenvector matrix)
-  // copied once into contiguous rows, so the projection inner loop below
-  // streams both operands linearly. Reserve the worst case (order = 1) up
-  // front so later calls never reallocate even if the model order drops.
-  CVec& noise = ws.noise;
-  if (noise.capacity() < (wp - 1) * wp) noise.reserve((wp - 1) * wp);
-  noise.resize(num_noise * wp);
-  for (std::size_t jj = 0; jj < num_noise; ++jj) {
-    cdouble* const u = noise.data() + jj * wp;
-    const std::size_t j = static_cast<std::size_t>(order) + jj;
-    for (std::size_t i = 0; i < wp; ++i) u[i] = ws.eig.vectors(i, j);
-  }
+  const auto k = static_cast<std::size_t>(order);
+  // Reserve the largest order estimate_model_order can return, so a later
+  // call with more sources never reallocates.
+  const std::size_t max_k =
+      std::min(static_cast<std::size_t>(cfg_.max_sources), wp - 1);
+  if (ws.signal.capacity() < max_k * wp) ws.signal.reserve(max_k * wp);
+  linalg::hermitian_eig_vectors(ws.eig_ws, k, ws.signal);
 
   // Unit-norm steering so the pseudospectrum scale is grid-independent.
   steering_.ensure(cfg_.isar, angles_deg, wp, /*unit_norm=*/true);
@@ -214,27 +209,34 @@ void SmoothedMusic::pseudospectrum_from_correlation_into(
   out.resize(angles_deg.size());
   for (std::size_t ai = 0; ai < angles_deg.size(); ++ai) {
     const cdouble* const a = steering_.row(ai);
-    // Row-wise ||a^H E_noise||^2 over contiguous storage. Four partial
-    // accumulators break the serial add chain of a naive dot product (the
-    // operands already sit in L1; the chain latency was the bottleneck).
-    double proj = 0.0;
-    for (std::size_t jj = 0; jj < num_noise; ++jj) {
-      const cdouble* const u = noise.data() + jj * wp;
-      cdouble d0{0.0, 0.0};
-      cdouble d1{0.0, 0.0};
-      cdouble d2{0.0, 0.0};
-      cdouble d3{0.0, 0.0};
+    // ||a^H E_noise||^2 = 1 - ||a^H E_signal||^2 (||a|| = 1, E unitary).
+    // Real arithmetic over contiguous rows, two partial accumulators per
+    // dot product (std::complex's operator* would add a NaN branch).
+    double signal_power = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const cdouble* const u = ws.signal.data() + j * wp;
+      double re0 = 0.0;
+      double im0 = 0.0;
+      double re1 = 0.0;
+      double im1 = 0.0;
       std::size_t i = 0;
-      for (; i + 4 <= wp; i += 4) {
-        d0 += std::conj(a[i]) * u[i];
-        d1 += std::conj(a[i + 1]) * u[i + 1];
-        d2 += std::conj(a[i + 2]) * u[i + 2];
-        d3 += std::conj(a[i + 3]) * u[i + 3];
+      for (; i + 2 <= wp; i += 2) {
+        re0 += a[i].real() * u[i].real() + a[i].imag() * u[i].imag();
+        im0 += a[i].real() * u[i].imag() - a[i].imag() * u[i].real();
+        re1 += a[i + 1].real() * u[i + 1].real() +
+               a[i + 1].imag() * u[i + 1].imag();
+        im1 += a[i + 1].real() * u[i + 1].imag() -
+               a[i + 1].imag() * u[i + 1].real();
       }
-      for (; i < wp; ++i) d0 += std::conj(a[i]) * u[i];
-      proj += norm2((d0 + d1) + (d2 + d3));
+      for (; i < wp; ++i) {
+        re0 += a[i].real() * u[i].real() + a[i].imag() * u[i].imag();
+        im0 += a[i].real() * u[i].imag() - a[i].imag() * u[i].real();
+      }
+      const double re = re0 + re1;
+      const double im = im0 + im1;
+      signal_power += re * re + im * im;
     }
-    out[ai] = 1.0 / std::max(proj, 1e-12);
+    out[ai] = 1.0 / std::max(1.0 - signal_power, 1e-12);
   }
 }
 

@@ -12,10 +12,15 @@
 ///
 /// The evaluation path runs one pseudospectrum per sliding-window position
 /// over whole traces (§7.1: ~1 s of post-processing per 25 s trace), so the
-/// implementation is built around reuse: a unit-norm steering-matrix cache
-/// shared across calls, contiguous noise-subspace storage for the
-/// projection, workspace-backed eigendecomposition, and an incremental
-/// (rank-one add/subtract) sliding-window correlation for streaming use.
+/// implementation is built around reuse and around computing only what
+/// Eq. 5.3 consumes. The steering vectors are unit-norm, so the noise
+/// projection equals 1 - sum_j |a(theta)^H s_j|^2 over the `order` signal
+/// eigenvectors s_j: the eigensolver factors once for all eigenvalues (the
+/// model order), then back-transforms just those few vectors, and the scan
+/// runs over them instead of the ~28 noise vectors. Around that sit a
+/// shared unit-norm steering-matrix cache, workspace-backed scratch, and an
+/// incremental (rank-one add/subtract) sliding-window correlation for
+/// streaming use.
 #pragma once
 
 #include "src/core/isar.hpp"
@@ -101,17 +106,17 @@ class SlidingCorrelation {
   linalg::CMatrix sum_;  // upper triangle of the un-normalised sub-array sum
 };
 
-/// Per-thread mutable MUSIC workspace: eigendecomposition buffers, the
-/// contiguous noise-subspace copy, and correlation/model-order scratch.
-/// Every member is fully overwritten by each estimation call, so one
-/// workspace per thread serves any number of SmoothedMusic instances —
-/// this is what lets a thousand idle sessions share a handful of
-/// workspaces instead of each holding ~20 KB of warm buffers.
+/// Per-thread mutable MUSIC workspace: eigensolver buffers, the signal
+/// eigenvectors, and correlation/model-order scratch. Every member is
+/// fully overwritten by each estimation call, so one workspace per thread
+/// serves any number of SmoothedMusic instances — this is what lets a
+/// thousand idle sessions share a handful of workspaces instead of each
+/// holding ~20 KB of warm buffers.
 struct MusicScratch {
   linalg::CMatrix r;            ///< Correlation scratch (w' x w').
-  linalg::EigResult eig;        ///< Eigendecomposition output.
-  linalg::EigWorkspace eig_ws;  ///< Eigendecomposition scratch.
-  CVec noise;                   ///< Noise eigenvectors, contiguous rows.
+  linalg::EigWorkspace eig_ws;  ///< Eigensolver factorisation.
+  RVec values;                  ///< Eigenvalues, descending.
+  CVec signal;                  ///< Signal eigenvectors, contiguous rows.
   RVec order_tail;              ///< Model-order noise-floor scratch.
 };
 
@@ -150,9 +155,10 @@ class SmoothedMusic {
   [[nodiscard]] RVec pseudospectrum(CSpan window, RSpan angles_deg,
                                     int* model_order_out = nullptr) const;
 
-  /// Same, into a caller-owned spectrum buffer; reuses the instance's
-  /// eigen/steering/noise workspaces (zero heap allocation per call once
-  /// they are warm). Not safe for concurrent calls on one instance.
+  /// Same, into a caller-owned spectrum buffer; reuses the per-thread
+  /// eigen/signal scratch and the instance's steering handle (zero heap
+  /// allocation per call once they are warm). Not safe for concurrent
+  /// calls on one instance.
   void pseudospectrum_into(CSpan window, RSpan angles_deg, RVec& out,
                            int* model_order_out = nullptr) const;
 

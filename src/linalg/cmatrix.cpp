@@ -100,14 +100,6 @@ double CMatrix::frobenius_norm() const noexcept {
   return std::sqrt(acc);
 }
 
-double CMatrix::offdiag_norm2() const noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j)
-      if (i != j) acc += norm2((*this)(i, j));
-  return acc;
-}
-
 double CMatrix::hermitian_defect() const noexcept {
   double worst = 0.0;
   for (std::size_t i = 0; i < rows_; ++i)

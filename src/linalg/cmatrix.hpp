@@ -35,8 +35,8 @@ class CMatrix {
   [[nodiscard]] cdouble at(std::size_t r, std::size_t c) const;
 
   /// Contiguous row-major storage access: row r occupies
-  /// [row(r), row(r) + cols()). Hot loops (MUSIC noise projections, Jacobi
-  /// sweeps) iterate these pointers instead of paying the operator()
+  /// [row(r), row(r) + cols()). Hot loops (the eigensolver's reflector
+  /// updates) iterate these pointers instead of paying the operator()
   /// index arithmetic per element.
   [[nodiscard]] cdouble* row(std::size_t r) noexcept { return data_.data() + r * cols_; }
   [[nodiscard]] const cdouble* row(std::size_t r) const noexcept {
@@ -68,9 +68,6 @@ class CMatrix {
   [[nodiscard]] CVec column(std::size_t c) const;
 
   [[nodiscard]] double frobenius_norm() const noexcept;
-
-  /// Sum of |a_ij|^2 over i != j; the Jacobi convergence measure.
-  [[nodiscard]] double offdiag_norm2() const noexcept;
 
   /// Max |a_ij - conj(a_ji)| — how far from Hermitian this matrix is.
   [[nodiscard]] double hermitian_defect() const noexcept;

@@ -63,10 +63,20 @@ void Engine::Session::arm_pipeline(Engine* engine) {
   // The session sink: every typed event the pipeline emits is delivered
   // as-is, tagged with this session's id. Runs under the session's claim
   // flag (the pipeline is only driven from there), so the counter update
-  // and delivery order stay per-session sequential.
+  // and delivery order stay per-session sequential. With periodic stats
+  // on, the FinishedEvent is preceded by one closing StatsEvent: every
+  // counter is final by then (finish() has flushed its last bits), and a
+  // sink watching StatsEvents would otherwise end on whatever snapshot
+  // the last interval happened to catch.
   pipeline->set_callback([engine, this](api::Event&& e) {
-    if (const auto* b = std::get_if<api::BitsEvent>(&e))
+    if (const auto* b = std::get_if<api::BitsEvent>(&e)) {
       bits_out.fetch_add(b->bits.size(), std::memory_order_relaxed);
+    } else if (std::holds_alternative<api::FinishedEvent>(e) &&
+               ingest.stats_interval_sec > 0.0) {
+      columns_out.store(columns_base + pipeline->columns_seen(),
+                        std::memory_order_relaxed);
+      engine->emit_stats(*this);
+    }
     engine->deliver({id, std::move(e)});
   });
   if (ingest.fault_hook) pipeline->set_fault_hook(ingest.fault_hook);
@@ -631,6 +641,10 @@ void Engine::maybe_emit_stats(Session& s, std::int64_t now) {
   if (now < s.next_stats_ns.load(std::memory_order_relaxed)) return;
   s.next_stats_ns.store(now + sec_to_ns(s.ingest.stats_interval_sec),
                         std::memory_order_relaxed);
+  emit_stats(s);
+}
+
+void Engine::emit_stats(Session& s) {
   const SessionStats st = stats(s.id);
   deliver({s.id, api::StatsEvent{st.chunks_in, st.samples_in,
                                  st.chunks_dropped, st.samples_dropped,
@@ -640,7 +654,9 @@ void Engine::maybe_emit_stats(Session& s, std::int64_t now) {
 }
 
 void Engine::finalize(Session& s) {
-  s.pipeline->finish();  // final flush + FinishedEvent via the sink
+  // Final flush + FinishedEvent via the sink (which puts the closing
+  // StatsEvent in front of it when periodic stats are on).
+  s.pipeline->finish();
   s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
                       std::memory_order_relaxed);
   s.finished.store(true, std::memory_order_release);

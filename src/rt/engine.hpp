@@ -126,7 +126,9 @@ struct IngestConfig {
   /// (cumulative counters + chunk-latency summary) at least this many
   /// seconds apart — in-band telemetry a sink can watch without polling
   /// Engine::stats(). Emitted from whichever worker holds the session's
-  /// claim, including on idle sessions. 0 (the default) disables it.
+  /// claim, including on idle sessions, plus one closing StatsEvent with
+  /// the final counters just before the FinishedEvent. 0 (the default)
+  /// disables it.
   double stats_interval_sec = 0.0;
 };
 
@@ -437,6 +439,7 @@ class Engine {
   void check_overload(Session& s);
   void check_watchdog(Session& s, std::int64_t now_ns);
   void maybe_emit_stats(Session& s, std::int64_t now_ns);
+  void emit_stats(Session& s);
   void finalize(Session& s);
   void handle_failure(Session& s, ErrorCode code, const char* what) noexcept;
   void fail_session(Session& s, ErrorCode code, const char* what) noexcept;

@@ -104,6 +104,20 @@ TEST(ZeroAlloc, StftProcessIntoIsAllocationFreeWhenWarm) {
   EXPECT_EQ(g_alloc_count - before, 0);
 }
 
+/// sigma^2 I plus `sources` strong random rank-one terms: a correlation
+/// whose model order is min(sources, max_sources).
+linalg::CMatrix strong_sources(std::size_t n, int sources, Rng& rng) {
+  linalg::CMatrix r(n, n);
+  for (std::size_t i = 0; i < n; ++i) r(i, i) = 1.0;
+  for (int k = 0; k < sources; ++k) {
+    CVec s(n);
+    for (auto& v : s) v = rng.complex_gaussian(1e4);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) r(i, j) += s[i] * std::conj(s[j]);
+  }
+  return r;
+}
+
 TEST(ZeroAlloc, MusicPseudospectrumIntoIsAllocationFreeWhenWarm) {
   const CVec h = make_trace(100);
   const core::SmoothedMusic music;
@@ -115,6 +129,32 @@ TEST(ZeroAlloc, MusicPseudospectrumIntoIsAllocationFreeWhenWarm) {
   const long before = g_alloc_count;
   music.pseudospectrum_into(h, angles, spectrum, &order);
   EXPECT_EQ(g_alloc_count - before, 0);
+
+  // The signal-vector count follows the model order: warmed at order 1,
+  // a swing to max_sources and back must still not allocate. Neither may
+  // a warm full decomposition through hermitian_eig_into.
+  Rng rng(3);
+  const auto wp = static_cast<std::size_t>(music.config().subarray);
+  const int max_sources = music.config().max_sources;
+  const linalg::CMatrix r_one = strong_sources(wp, 1, rng);
+  const linalg::CMatrix r_max = strong_sources(wp, max_sources + 4, rng);
+  music.pseudospectrum_from_correlation_into(r_one, angles, spectrum, &order);
+  ASSERT_EQ(order, 1);
+  linalg::EigResult eig;
+  linalg::EigWorkspace eig_ws;
+  linalg::hermitian_eig_into(r_max, eig, eig_ws);
+
+  int orders[3] = {0, 0, 0};
+  const long swing_before = g_alloc_count;
+  music.pseudospectrum_from_correlation_into(r_one, angles, spectrum, &orders[0]);
+  music.pseudospectrum_from_correlation_into(r_max, angles, spectrum, &orders[1]);
+  music.pseudospectrum_from_correlation_into(r_one, angles, spectrum, &orders[2]);
+  linalg::hermitian_eig_into(r_one, eig, eig_ws);
+  linalg::hermitian_eig_into(r_max, eig, eig_ws);
+  EXPECT_EQ(g_alloc_count - swing_before, 0);
+  EXPECT_EQ(orders[0], 1);
+  EXPECT_EQ(orders[1], max_sources);
+  EXPECT_EQ(orders[2], 1);
 }
 
 TEST(ZeroAlloc, PlanRegistryHitAcquisitionIsAllocationFree) {
