@@ -55,6 +55,18 @@ void BM_HermitianEig(benchmark::State& state) {
 }
 BENCHMARK(BM_HermitianEig)->Arg(16)->Arg(32)->Arg(64);
 
+void BM_SmoothedCorrelation(benchmark::State& state) {
+  // The Eq. 5.2 kernel alone at the default w = 100, w' = 32.
+  const CVec h = make_trace(100);
+  const core::SmoothedMusic music;
+  linalg::CMatrix r;
+  for (auto _ : state) {
+    music.smoothed_correlation_into(h, r);
+    benchmark::DoNotOptimize(r.row(0));
+  }
+}
+BENCHMARK(BM_SmoothedCorrelation);
+
 void BM_Pseudospectrum(benchmark::State& state) {
   const CVec h = make_trace(100);
   const core::SmoothedMusic music;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const double duration = cli.get_double("duration", 10.0, "trace seconds");
   const int threads =
       cli.get_int("threads", 0, "image-build workers (0 = all cores, 1 = "
-                                "sequential sliding path)");
+                                "sequential)");
   if (!cli.ok()) return 2;
   if (people < 1 || people > 3 || threads < 0) {
     std::fprintf(stderr, "--people must be 1..3 and --threads >= 0\n");

@@ -8,87 +8,98 @@
 
 namespace wivi::core {
 
-// --------------------------------------------------- SlidingCorrelation ---
+// ------------------------------------------- smoothed correlation kernel ---
 
-SlidingCorrelation::SlidingCorrelation(int subarray, int window)
-    : wp_(subarray), w_(window), num_subarrays_(window - subarray + 1) {
-  WIVI_REQUIRE(subarray >= 2, "sub-array must have at least 2 elements");
-  WIVI_REQUIRE(window >= subarray, "window shorter than the smoothing sub-array");
-  // sum_ stays empty until the first rebuild(): every use is gated on
-  // valid_, and rebuild() reshapes (zero-fills) before accumulating, so an
-  // idle instance holds no w'^2 buffer.
-}
+namespace {
 
-void SlidingCorrelation::accumulate_outer(const cdouble* x, double sign) {
-  // Upper triangle of sign * x x^H; the lower triangle is implied.
-  const auto wp = static_cast<std::size_t>(wp_);
-  for (std::size_t i = 0; i < wp; ++i) {
-    const cdouble xi = sign * x[i];
-    cdouble* const row_i = sum_.row(i);
-    for (std::size_t j = i; j < wp; ++j) row_i[j] += xi * std::conj(x[j]);
+// U(0, j) = sum_s x[s] conj(x[s + j]) for j < wp. The sum over s is the
+// outer loop, so the inner loop over j is elementwise (no reduction) and
+// every entry is summed in the same order wherever the window sits in
+// memory. Real arithmetic: std::complex's operator* would add a
+// NaN-recovery branch. `row0` never aliases the window (__restrict lets
+// the inner loop vectorise without a runtime overlap check).
+void first_row(const cdouble* __restrict x, std::size_t S, std::size_t wp,
+               cdouble* __restrict row0) {
+  std::fill(row0, row0 + wp, cdouble{0.0, 0.0});
+  for (std::size_t s = 0; s < S; ++s) {
+    const double ar = x[s].real();
+    const double ai = x[s].imag();
+    const cdouble* const y = x + s;
+    for (std::size_t j = 0; j < wp; ++j) {
+      const double yr = y[j].real();
+      const double yi = y[j].imag();
+      row0[j] = cdouble{row0[j].real() + (ar * yr + ai * yi),
+                        row0[j].imag() + (ai * yr - ar * yi)};
+    }
   }
 }
 
-void SlidingCorrelation::rebuild(CSpan stream, std::size_t pos) {
-  WIVI_REQUIRE(pos + static_cast<std::size_t>(w_) <= stream.size(),
-               "window extends past the end of the stream");
-  sum_.reshape(static_cast<std::size_t>(wp_), static_cast<std::size_t>(wp_));
-  for (int s = 0; s < num_subarrays_; ++s)
-    accumulate_outer(stream.data() + pos + static_cast<std::size_t>(s), 1.0);
-  pos_ = pos;
-  valid_ = true;
-  updates_since_rebuild_ = 0;
+}  // namespace
+
+void smoothed_correlation_into(CSpan window, std::size_t subarray,
+                               linalg::CMatrix& r) {
+  const std::size_t wp = subarray;
+  WIVI_REQUIRE(wp >= 1, "sub-array must have at least 1 element");
+  WIVI_REQUIRE(window.size() >= wp,
+               "window shorter than the smoothing sub-array");
+  const std::size_t S = window.size() - wp + 1;  // sub-arrays averaged
+  const double inv = 1.0 / static_cast<double>(S);
+  const cdouble* const x = window.data();
+  if (r.rows() != wp || r.cols() != wp) r.reshape(wp, wp);
+
+  // First row directly, in r's own storage (S w' MACs).
+  first_row(x, S, wp, r.row(0));
+
+  // Rest of the upper triangle by displacement: the sub-array sum for
+  // (i+1, j+1) covers s = 1..S where (i, j) covers s = 0..S-1, so
+  //   U(i+1, j+1) = U(i, j) + x[S+i] conj(x[S+j]) - x[i] conj(x[j]).
+  for (std::size_t i = 0; i + 1 < wp; ++i) {
+    const cdouble* const up = r.row(i);
+    cdouble* const dn = r.row(i + 1);
+    const double gr = x[S + i].real();
+    const double gi = x[S + i].imag();
+    const double dr = x[i].real();
+    const double di = x[i].imag();
+    for (std::size_t j = i; j + 1 < wp; ++j) {
+      const double hr = x[S + j].real();
+      const double hi = x[S + j].imag();
+      const double er = x[j].real();
+      const double ei = x[j].imag();
+      const double re = (gr * hr + gi * hi) - (dr * er + di * ei);
+      const double im = (gi * hr - gr * hi) - (di * er - dr * ei);
+      dn[j + 1] = cdouble{up[j].real() + re, up[j].imag() + im};
+    }
+  }
+
+  // Normalise, force the diagonal real (it is a sum of |x|^2 terms), and
+  // mirror the upper triangle into the lower.
+  for (std::size_t i = 0; i < wp; ++i) {
+    cdouble* const row_i = r.row(i);
+    row_i[i] = cdouble{row_i[i].real() * inv, 0.0};
+    for (std::size_t j = i + 1; j < wp; ++j) {
+      row_i[j] *= inv;
+      r(j, i) = std::conj(row_i[j]);
+    }
+  }
+}
+
+// --------------------------------------------------- SlidingCorrelation ---
+
+SlidingCorrelation::SlidingCorrelation(int subarray, int window)
+    : wp_(subarray), w_(window) {
+  WIVI_REQUIRE(subarray >= 2, "sub-array must have at least 2 elements");
+  WIVI_REQUIRE(window >= subarray, "window shorter than the smoothing sub-array");
 }
 
 void SlidingCorrelation::advance_to(CSpan stream, std::size_t pos) {
   WIVI_REQUIRE(pos + static_cast<std::size_t>(w_) <= stream.size(),
                "window extends past the end of the stream");
-  WIVI_REQUIRE(!valid_ || pos >= pos_, "SlidingCorrelation only slides forward");
-  if (!valid_) {
-    rebuild(stream, pos);
-    return;
-  }
-  const std::size_t delta = pos - pos_;
-  // Each slid sample costs one subtract + one add (2 rank-one updates); a
-  // rebuild costs S of them. Also re-anchor periodically: the subtract/add
-  // chain accumulates rounding at ~eps per update, so a cheap occasional
-  // rebuild keeps the streaming path within ~1e-12 of the direct one.
-  if (2 * delta >= static_cast<std::size_t>(num_subarrays_) ||
-      updates_since_rebuild_ + 2 * static_cast<long>(delta) > kRebuildEvery) {
-    rebuild(stream, pos);
-    return;
-  }
-  const auto S = static_cast<std::size_t>(num_subarrays_);
-  for (std::size_t p = pos_; p < pos; ++p) {
-    accumulate_outer(stream.data() + p, -1.0);      // drop sub-array at p
-    accumulate_outer(stream.data() + p + S, 1.0);   // gain sub-array at p + S
-  }
-  pos_ = pos;
-  updates_since_rebuild_ += 2 * static_cast<long>(delta);
-}
-
-void SlidingCorrelation::rebase(std::size_t drop) {
-  if (drop == 0) return;
-  WIVI_REQUIRE(valid_, "rebase() before the first window");
-  WIVI_REQUIRE(drop <= pos_, "cannot rebase past the current window start");
-  pos_ -= drop;
+  window_ = stream.subspan(pos, static_cast<std::size_t>(w_));
 }
 
 void SlidingCorrelation::correlation_into(linalg::CMatrix& r) const {
-  WIVI_REQUIRE(valid_, "SlidingCorrelation has no window yet");
-  const auto wp = static_cast<std::size_t>(wp_);
-  if (r.rows() != wp || r.cols() != wp) r.reshape(wp, wp);
-  const double inv = 1.0 / static_cast<double>(num_subarrays_);
-  for (std::size_t i = 0; i < wp; ++i) {
-    const cdouble* const src_i = sum_.row(i);
-    cdouble* const dst_i = r.row(i);
-    dst_i[i] = src_i[i] * inv;
-    for (std::size_t j = i + 1; j < wp; ++j) {
-      const cdouble v = src_i[j] * inv;
-      dst_i[j] = v;
-      r(j, i) = std::conj(v);
-    }
-  }
+  WIVI_REQUIRE(!window_.empty(), "SlidingCorrelation has no window yet");
+  smoothed_correlation_into(window_, static_cast<std::size_t>(wp_), r);
 }
 
 // -------------------------------------------------------- SmoothedMusic ---
@@ -114,30 +125,8 @@ linalg::CMatrix SmoothedMusic::smoothed_correlation(CSpan window) const {
 
 void SmoothedMusic::smoothed_correlation_into(CSpan window,
                                               linalg::CMatrix& r) const {
-  const auto wp = static_cast<std::size_t>(cfg_.subarray);
-  WIVI_REQUIRE(window.size() >= wp,
-               "window shorter than the smoothing sub-array");
-  const std::size_t num_subarrays = window.size() - wp + 1;
-  r.reshape(wp, wp);
-  for (std::size_t s = 0; s < num_subarrays; ++s) {
-    // Accumulate the rank-one term sub * sub^H without materialising it;
-    // only the upper triangle — the lower is its conjugate mirror.
-    const cdouble* const sub = window.data() + s;
-    for (std::size_t i = 0; i < wp; ++i) {
-      const cdouble si = sub[i];
-      cdouble* const row_i = r.row(i);
-      for (std::size_t j = i; j < wp; ++j) row_i[j] += si * std::conj(sub[j]);
-    }
-  }
-  const double inv = 1.0 / static_cast<double>(num_subarrays);
-  for (std::size_t i = 0; i < wp; ++i) {
-    cdouble* const row_i = r.row(i);
-    row_i[i] *= inv;
-    for (std::size_t j = i + 1; j < wp; ++j) {
-      row_i[j] *= inv;
-      r(j, i) = std::conj(row_i[j]);
-    }
-  }
+  core::smoothed_correlation_into(
+      window, static_cast<std::size_t>(cfg_.subarray), r);
 }
 
 int SmoothedMusic::estimate_model_order(RSpan eigenvalues) const {

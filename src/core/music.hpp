@@ -13,14 +13,16 @@
 /// The evaluation path runs one pseudospectrum per sliding-window position
 /// over whole traces (§7.1: ~1 s of post-processing per 25 s trace), so the
 /// implementation is built around reuse and around computing only what
-/// Eq. 5.3 consumes. The steering vectors are unit-norm, so the noise
-/// projection equals 1 - sum_j |a(theta)^H s_j|^2 over the `order` signal
-/// eigenvectors s_j: the eigensolver factors once for all eigenvalues (the
-/// model order), then back-transforms just those few vectors, and the scan
-/// runs over them instead of the ~28 noise vectors. Around that sit a
-/// shared unit-norm steering-matrix cache, workspace-backed scratch, and an
-/// incremental (rank-one add/subtract) sliding-window correlation for
-/// streaming use.
+/// Eq. 5.3 consumes. The smoothed correlation of each window is computed
+/// from scratch by one displacement-structured kernel (a direct first row,
+/// then one boundary term per entry — ~w'^2 work instead of S w'^2), so
+/// every column is a pure function of its window. The steering vectors are
+/// unit-norm, so the noise projection equals 1 - sum_j |a(theta)^H s_j|^2
+/// over the `order` signal eigenvectors s_j: the eigensolver factors once
+/// for all eigenvalues (the model order), then back-transforms just those
+/// few vectors, and the scan runs over them instead of the ~28 noise
+/// vectors. Around that sit a shared unit-norm steering-matrix cache and
+/// workspace-backed scratch.
 #pragma once
 
 #include "src/core/isar.hpp"
@@ -46,64 +48,45 @@ struct MusicConfig {
   double signal_threshold_db = 12.0;
 };
 
-/// Streaming maintenance of the Eq. 5.2 smoothed-correlation sub-array sum
-/// for a w-sample window sliding along a channel-estimate stream. Moving
-/// the window by one sample drops exactly one sub-array and gains exactly
-/// one, so the sum is updated with a rank-one subtract + add (O(w'^2))
-/// instead of the full O(S * w'^2) rebuild; advance_to() falls back to a
-/// rebuild when the slide distance makes that cheaper, and re-anchors
-/// periodically to bound floating-point drift.
+/// Eq. 5.2 with spatial smoothing, the one correlation kernel every
+/// imaging path runs: r = (1/S) sum_{s<S} x_s x_s^H over the S = w - w' + 1
+/// overlapping length-`subarray` sub-arrays x_s of `window` (w' x w',
+/// Hermitian). The sub-arrays all come from one window, so the matrix is
+/// shift-structured: the first row is summed directly (S w' MACs), and
+/// each further entry follows from its upper-left neighbour by one
+/// boundary term, R(i+1, j+1) = R(i, j) + (x[S+i] x*[S+j] - x[i] x*[j]) / S
+/// (~w'^2 MACs in all). The result is a pure function of the window's
+/// values — wherever the window sits in memory and whatever was computed
+/// before — which is what makes the streaming, batch, parallel and
+/// recorded paths bit-identical. The diagonal is exactly real and the
+/// lower triangle is the exact conjugate of the upper. Reuses r's storage:
+/// no allocation once r is w' x w'.
+void smoothed_correlation_into(CSpan window, std::size_t subarray,
+                               linalg::CMatrix& r);
+
+/// Correlation of the window at a stream offset: advance_to() selects the
+/// window (the stream must outlive the next correlation_into()), and
+/// correlation_into() runs smoothed_correlation_into() on it. Holds no
+/// numeric state. Kept only because the frozen benchmark decomposition
+/// (wirebench/src/decompose.cpp) calls this surface; delete it at the next
+/// benchmark change and call smoothed_correlation_into() there instead.
 class SlidingCorrelation {
  public:
-  /// Set up for sub-arrays of length `subarray` inside a sliding window of
-  /// `window` samples (no stream attached yet).
+  /// Set up for sub-arrays of length `subarray` inside windows of `window`
+  /// samples (no stream attached yet).
   SlidingCorrelation(int subarray, int window);
 
-  /// Full rebuild of the sub-array sum for the window at stream offset
-  /// `pos` (covers stream[pos, pos + window)).
-  void rebuild(CSpan stream, std::size_t pos);
-
-  /// Move the window to offset `pos` (>= the current position) with
-  /// incremental updates. The first call behaves like rebuild().
+  /// Select the window stream[pos, pos + window).
   void advance_to(CSpan stream, std::size_t pos);
 
-  /// Relabel the stream origin: the caller dropped `drop` samples from the
-  /// front of its buffer, so all future advance_to() positions are smaller
-  /// by `drop`. Pure bookkeeping — no numeric state changes, which is what
-  /// lets a bounded-memory streaming consumer (rt::StreamingTracker) stay
-  /// bit-for-bit identical to a whole-trace pass. `drop` must not reach
-  /// past the current window start.
-  void rebase(std::size_t drop);
-
-  /// Normalised smoothed correlation (w' x w', Hermitian) of the current
+  /// Normalised smoothed correlation (w' x w', Hermitian) of the selected
   /// window; reuses r's storage, no allocation on repeated calls.
   void correlation_into(linalg::CMatrix& r) const;
 
-  /// Stream offset of the current window start.
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
-  /// Rank-one updates applied since the last full rebuild: advance_to()
-  /// re-anchors (rebuilds) before this would exceed kRebuildEvery, which
-  /// bounds the rounding drift of the subtract/add chain. Exposed so tests
-  /// can pin behaviour on both sides of the re-anchor boundary.
-  [[nodiscard]] long updates_since_rebuild() const noexcept {
-    return updates_since_rebuild_;
-  }
-
-  /// Re-anchor cadence: the update budget between full rebuilds (each slid
-  /// sample costs 2 updates, so this is ~2048 slid samples).
-  static constexpr long kRebuildEvery = 4096;
-
  private:
-  void accumulate_outer(const cdouble* x, double sign);
-
-  int wp_;               // sub-array length w'
-  int w_;                // window length
-  int num_subarrays_;    // S = w - w' + 1
-  std::size_t pos_ = 0;
-  bool valid_ = false;
-  long updates_since_rebuild_ = 0;
-  linalg::CMatrix sum_;  // upper triangle of the un-normalised sub-array sum
+  int wp_;  // sub-array length w'
+  int w_;   // window length
+  CSpan window_;
 };
 
 /// Per-thread mutable MUSIC workspace: eigensolver buffers, the signal
@@ -137,11 +120,12 @@ class SmoothedMusic {
   /// The estimator's configuration.
   [[nodiscard]] const MusicConfig& config() const noexcept { return cfg_; }
 
-  /// Eq. 5.2 with spatial smoothing: average of sub-array correlation
-  /// matrices (w' x w').
+  /// Eq. 5.2 with spatial smoothing at this estimator's sub-array length:
+  /// average of sub-array correlation matrices (w' x w').
   [[nodiscard]] linalg::CMatrix smoothed_correlation(CSpan window) const;
 
-  /// Same, into a caller-owned matrix (no allocation on repeated calls).
+  /// Same, into a caller-owned matrix: core::smoothed_correlation_into()
+  /// (no allocation on repeated calls).
   void smoothed_correlation_into(CSpan window, linalg::CMatrix& r) const;
 
   /// Number of signal eigenvectors given descending eigenvalues.
@@ -162,8 +146,9 @@ class SmoothedMusic {
   void pseudospectrum_into(CSpan window, RSpan angles_deg, RVec& out,
                            int* model_order_out = nullptr) const;
 
-  /// Pseudospectrum from an externally maintained smoothed correlation
-  /// (e.g. a SlidingCorrelation) — the streaming fast path.
+  /// Pseudospectrum from an already computed smoothed correlation — for
+  /// callers that time or reuse the correlation step on its own
+  /// (rt::StreamingTracker).
   void pseudospectrum_from_correlation_into(const linalg::CMatrix& r,
                                             RSpan angles_deg, RVec& out,
                                             int* model_order_out = nullptr) const;

@@ -61,46 +61,14 @@ double MotionTracker::column_period_sec() const noexcept {
 }
 
 AngleTimeImage MotionTracker::process(CSpan h, double t0) const {
-  // Opt-in batch parallelism: anything but the default 1 routes through
-  // the column-sharded builder (whose output is thread-count invariant).
-  // The builder (pool + per-worker workspaces) is constructed per call —
-  // noise next to a whole-trace build, and it keeps const process()
-  // callable concurrently; loops that build many images back to back
-  // should hold a par::ParallelImageBuilder directly.
-  if (cfg_.num_threads != 1)
-    return par::ParallelImageBuilder(cfg_, cfg_.num_threads).build(h, t0);
-
-  const auto w = static_cast<std::size_t>(cfg_.music.isar.window);
-  const auto hop = static_cast<std::size_t>(cfg_.hop);
-  WIVI_REQUIRE(h.size() >= w, "channel stream shorter than one ISAR window");
-  const std::size_t num_cols = (h.size() - w) / hop + 1;
-
-  AngleTimeImage img;
-  img.angles_deg = angle_grid_deg(cfg_.angle_step_deg);
-  img.columns.resize(num_cols);
-  img.model_orders.resize(num_cols);
-  img.times_sec.resize(num_cols);
-  const SmoothedMusic music(cfg_.music);
-  const double T = cfg_.music.isar.sample_period_sec;
-
-  // Streaming fast path: successive windows overlap by w - hop samples, so
-  // the smoothed correlation is maintained incrementally (rank-one
-  // add/subtract per slid sample) instead of rebuilt per column, and the
-  // pseudospectrum reuses the estimator's eigen/steering workspaces.
-  SlidingCorrelation sliding(cfg_.music.subarray, cfg_.music.isar.window);
-  linalg::CMatrix r;
-  for (std::size_t c = 0; c < num_cols; ++c) {
-    const std::size_t n = c * hop;
-    sliding.advance_to(h, n);
-    sliding.correlation_into(r);
-    int order = 0;
-    music.pseudospectrum_from_correlation_into(r, img.angles_deg,
-                                               img.columns[c], &order);
-    img.model_orders[c] = order;
-    img.times_sec[c] =
-        t0 + (static_cast<double>(n) + static_cast<double>(w) / 2.0) * T;
-  }
-  return img;
+  // Every column is a pure function of its window, so one column loop
+  // serves every thread count: 1 runs inline with no threads, anything
+  // else shards the columns over a pool. The builder (pool + per-worker
+  // workspaces) is constructed per call — noise next to a whole-trace
+  // build, and it keeps const process() callable concurrently; loops that
+  // build many images back to back should hold a
+  // par::ParallelImageBuilder directly.
+  return par::ParallelImageBuilder(cfg_, cfg_.num_threads).build(h, t0);
 }
 
 RVec MotionTracker::dominant_angle_trace(const AngleTimeImage& img,

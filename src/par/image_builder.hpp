@@ -1,27 +1,22 @@
 /// @file
 /// Column-parallel construction of the smoothed-MUSIC angle-time image.
 ///
-/// core::MotionTracker::process() walks the image columns sequentially,
-/// streaming the Eq. 5.2 correlation through rank-one updates — optimal
-/// per column, but it leaves every other core idle while the per-column
-/// pseudospectrum (~1 ms, the pipeline's dominant cost) runs. For batch
-/// consumers (whole recorded traces: figure generation, benches,
-/// rt::Engine::run_recorded) the columns can instead be sharded across a
-/// par::ThreadPool: each worker owns a private
-/// SlidingCorrelation/SmoothedMusic workspace set, rebuilds the
-/// correlation at the start of its block and slides within it, and writes
-/// into preassigned column slots.
+/// Every image column is a pure function of its own window: the Eq. 5.2
+/// smoothed correlation comes from one stateless kernel
+/// (core::smoothed_correlation_into) and the pseudospectrum from
+/// workspaces that each call fully overwrites. So for batch consumers
+/// (whole recorded traces: core::MotionTracker::process, figure
+/// generation, benches, rt::Engine::run_recorded) the columns can be
+/// sharded across a par::ThreadPool in fixed blocks: each worker owns a
+/// private SmoothedMusic (its steering handle is not thread-safe) and
+/// writes into preassigned column slots.
 ///
-/// Determinism: the block partition is a pure function of the column
-/// count (kColumnsPerBlock), every block's math depends only on the input
-/// stream and the block's own start position (workspaces are numerically
-/// history-independent: each call fully overwrites them), and blocks
-/// write disjoint slots — so the output is bit-identical for every thread
-/// count and every dynamic block-to-worker assignment (pinned by
-/// test_par). It is *not* bit-identical to the sequential sliding path,
-/// whose rank-one update chain rounds differently (agreement is at the
-/// 1e-9 parity level, also pinned). DESIGN.md §7 discusses when to prefer
-/// which.
+/// Determinism: the blocks only balance load — no numeric state crosses
+/// a column boundary — and blocks write disjoint slots, so the output is
+/// bit-identical for every thread count, every dynamic block-to-worker
+/// assignment, and to the streaming path (rt::StreamingTracker), which
+/// runs the same per-window arithmetic (pinned by test_par and
+/// test_fastpath_parity).
 #pragma once
 
 #include <memory>
@@ -38,10 +33,8 @@ namespace wivi::par {
 /// caller its own builder.
 class ParallelImageBuilder {
  public:
-  /// Columns per work unit: the load-balancing granularity, and the fixed
-  /// partition the determinism argument rests on. Within one block the
-  /// correlation slides (rank-one updates); across block starts it is
-  /// rebuilt from scratch.
+  /// Columns per work unit: the load-balancing granularity only (the
+  /// output does not depend on it).
   static constexpr std::size_t kColumnsPerBlock = 16;
 
   /// Build with an internally owned pool of `num_threads` workers
@@ -64,21 +57,18 @@ class ParallelImageBuilder {
   /// absolute time of h.front().
   [[nodiscard]] core::AngleTimeImage build(CSpan h, double t0 = 0.0) const;
 
+  /// Same, into a caller-owned image whose storage is reused: once `img`
+  /// has held an image of the same shape, a call allocates nothing.
+  void build_into(CSpan h, core::AngleTimeImage& img, double t0 = 0.0) const;
+
  private:
-  /// One worker's private estimator state (core stages are single-threaded
-  /// by design — see DESIGN.md §4 rule 4; parallelism comes from giving
-  /// every worker its own copy).
-  struct Workspace {
-    explicit Workspace(const core::MusicConfig& mc);
-
-    core::SlidingCorrelation sliding;  ///< per-block correlation state
-    core::SmoothedMusic music;         ///< eigen/steering/noise workspaces
-    linalg::CMatrix r;                 ///< normalised correlation scratch
-  };
-
   core::MotionTracker::Config cfg_;
+  std::shared_ptr<const RVec> angles_;  // registry-shared angle grid
   mutable ThreadPool pool_;
-  mutable std::vector<std::unique_ptr<Workspace>> workspaces_;  // per worker
+  // One estimator per worker (core stages are single-threaded by design —
+  // see DESIGN.md §4 rule 4; parallelism comes from giving every worker
+  // its own copy).
+  mutable std::vector<std::unique_ptr<core::SmoothedMusic>> music_;
 };
 
 }  // namespace wivi::par

@@ -12,8 +12,7 @@ namespace wivi::rt {
 StreamingTracker::StreamingTracker(core::MotionTracker::Config cfg, double t0)
     : cfg_(cfg),
       t0_(t0),
-      music_(cfg.music),
-      sliding_(cfg.music.subarray, cfg.music.isar.window) {
+      music_(cfg.music) {
   WIVI_REQUIRE(cfg_.hop >= 1, "hop must be >= 1");
   WIVI_REQUIRE(cfg_.angle_step_deg > 0.0, "angle step must be positive");
   // Both heavyweight artifacts resolve through the shared plan registry at
@@ -41,18 +40,18 @@ std::size_t StreamingTracker::push(CSpan chunk) {
   const auto hop = static_cast<std::size_t>(cfg_.hop);
   const double T = cfg_.music.isar.sample_period_sec;
 
-  // Emit every column whose window is now fully buffered. The per-column
-  // math is the batch MotionTracker::process() loop verbatim — same
-  // SlidingCorrelation advance sequence (rebase() only relabels offsets),
-  // same workspace reuse — which is what makes streaming == batch exact.
+  // Emit every column whose window is now fully buffered. Each column is
+  // a pure function of its window — the same correlation kernel and
+  // pseudospectrum the batch MotionTracker::process() runs — so where the
+  // window sits in buf_ (and how chunks split the stream) cannot change a
+  // bit: streaming == batch exactly.
   std::size_t emitted = 0;
   linalg::CMatrix& r = core::music_scratch().r;
   while (base_ + buf_.size() >= next_col_ * hop + w) {
     const std::size_t n = next_col_ * hop;  // absolute stream offset
     {
       obs::ScopedSpan span(obs_, obs::Stage::kStft);
-      sliding_.advance_to(buf_, n - base_);
-      sliding_.correlation_into(r);
+      music_.smoothed_correlation_into(CSpan(buf_).subspan(n - base_, w), r);
     }
     img_.columns.emplace_back();
     int order = 0;
@@ -95,14 +94,11 @@ void StreamingTracker::adopt(CSpan stream, core::AngleTimeImage&& img) {
 
   img_ = std::move(img);
   next_col_ = expect_cols;
-  // Keep exactly the tail a future column could still need (everything
-  // from the next window start on); sliding state starts fresh, so the
-  // next advance rebuilds — the same numerics as any re-anchor.
+  // Keep exactly the tail a future column could still need: everything
+  // from the next window start on.
   base_ = std::min(next_col_ * hop, stream.size());
   buf_.assign(stream.begin() + static_cast<std::ptrdiff_t>(base_),
               stream.end());
-  sliding_ = core::SlidingCorrelation(cfg_.music.subarray,
-                                      cfg_.music.isar.window);
 }
 
 void StreamingTracker::set_angle_decimation(int factor) {
@@ -151,15 +147,15 @@ core::AngleTimeImage StreamingTracker::take_image() {
 }
 
 void StreamingTracker::compact() {
-  // The incremental advance still reads from the *previous* window start
-  // (= sliding_.position()), so that is the earliest sample we must keep.
-  // Compact in big steps: the front-erase is O(kept), so amortise it.
+  // The next column's window start is the earliest sample still needed
+  // (with hop > window it can lie past the buffered end). Compact in big
+  // steps: the front-erase is O(kept), so amortise it.
   constexpr std::size_t kCompactThreshold = 4096;
-  const std::size_t drop = sliding_.position();
+  const std::size_t drop = std::min(
+      next_col_ * static_cast<std::size_t>(cfg_.hop) - base_, buf_.size());
   if (drop < kCompactThreshold) return;
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(drop));
   base_ += drop;
-  sliding_.rebase(drop);
 }
 
 // ------------------------------------------------------ StreamingGesture ---

@@ -4,12 +4,13 @@
 /// The paper's pipeline is streaming by nature — nulling runs live in the
 /// driver and smoothed MUSIC consumes a 312.5 Hz channel-estimate stream —
 /// but the batch entry points (core::MotionTracker::process and friends)
-/// want the whole trace at once. The classes here carry the window state
-/// across arbitrarily sized sample chunks so a live session can emit
-/// angle-time columns, track updates, decoded gesture bits and count
+/// want the whole trace at once. The classes here buffer just enough of
+/// the stream across arbitrarily sized sample chunks so a live session can
+/// emit angle-time columns, track updates, decoded gesture bits and count
 /// updates as soon as each hop of data lands, while staying *bit-for-bit
 /// identical* to the batch pass over the concatenated stream (pinned by
-/// test_rt_streaming and test_track_streaming).
+/// test_rt_streaming and test_track_streaming). For the image that is by
+/// construction: every column is a pure function of its window's samples.
 ///
 /// Threading: like the core stages they wrap, none of these classes is safe
 /// for concurrent use of one instance — one instance per session, one
@@ -34,9 +35,9 @@ namespace wivi::rt {
 
 /// Streaming counterpart of core::MotionTracker: push sample chunks of any
 /// size, get image columns appended to image() exactly as the batch
-/// process() would have produced them. Memory stays bounded — consumed
-/// samples are compacted away once the sliding window no longer needs
-/// them (the growing image itself is the caller's to keep or trim).
+/// process() would have produced them. Memory stays bounded — samples
+/// before the next window start are compacted away (the growing image
+/// itself is the caller's to keep or trim).
 class StreamingTracker {
  public:
   /// Start a streaming image at absolute time `t0` (time of the first
@@ -56,8 +57,7 @@ class StreamingTracker {
   /// InvalidArgument. Afterwards the tracker reads as if `stream` had been
   /// pushed: samples_seen(), num_columns() and image() all line up, and
   /// further push() calls continue the stream (the window tail is
-  /// retained) — though columns appended later come from a fresh
-  /// correlation rebuild, like any post-compaction column.
+  /// retained).
   void adopt(CSpan stream, core::AngleTimeImage&& img);
 
   /// Columns produced so far; grows by push(). Identical to
@@ -111,9 +111,9 @@ class StreamingTracker {
   void reset(double t0 = 0.0);
 
   /// Attach a per-stage latency observer (wivi::obs): the push() loop
-  /// records one `stft_doppler` span (sliding-correlation advance) and one
-  /// `music` span (pseudospectrum scan) per emitted column. nullptr
-  /// detaches. The observer must outlive the tracker and is *not* owned;
+  /// records one `stft_doppler` span (the window's smoothed correlation)
+  /// and one `music` span (pseudospectrum scan) per emitted column.
+  /// nullptr detaches. The observer must outlive the tracker and is *not* owned;
   /// it survives reset().
   void set_observer(obs::PipelineObserver* observer) noexcept {
     obs_ = observer;
@@ -126,7 +126,6 @@ class StreamingTracker {
   core::MotionTracker::Config cfg_;
   double t0_ = 0.0;
   core::SmoothedMusic music_;
-  core::SlidingCorrelation sliding_;
   // Correlation scratch lives in the per-thread core::music_scratch();
   // the tracker's own state is just the buffered stream tail + image.
   CVec buf_;                     // buffered tail of the stream

@@ -28,8 +28,8 @@ struct CountingTrial {
   std::uint64_t seed = 1;
   /// Threads for the smoothed-MUSIC image build
   /// (core::MotionTracker::Config::num_threads semantics: 1 = sequential
-  /// sliding default; 0 / >1 = par::ParallelImageBuilder). Figure benches
-  /// opt in; tests keep the bit-stable sequential default.
+  /// default; 0 / >1 = par::ParallelImageBuilder, same image). Figure
+  /// benches opt in.
   int image_threads = 1;
 };
 

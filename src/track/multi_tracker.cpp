@@ -231,8 +231,8 @@ TraceTrackResult track_trace(CSpan h,
                              double t0) {
   // Built through the declarative facade: one spec, image + track stages.
   // image_cfg.num_threads keeps its historical meaning by selecting the
-  // execution mode — 1 = sequential batch (the sliding path), anything
-  // else = the column-parallel offline mode (DESIGN.md §7).
+  // execution mode — 1 = sequential batch, anything else = the
+  // column-parallel offline mode (same image; DESIGN.md §7).
   api::PipelineSpec spec;
   spec.image.tracker = image_cfg;
   spec.image.emit_columns = false;  // the image is read back whole below

@@ -2,7 +2,11 @@
 // on synthetic channel streams with known ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/constants.hpp"
 #include "src/common/error.hpp"
@@ -11,6 +15,8 @@
 #include "src/core/music.hpp"
 #include "src/core/tracker.hpp"
 #include "src/dsp/peaks.hpp"
+#include "src/sim/evaluate.hpp"
+#include "src/sim/scenario.hpp"
 
 namespace wivi::core {
 namespace {
@@ -276,45 +282,123 @@ TEST(Tracker, RejectsTooShortStream) {
   EXPECT_THROW((void)tracker.process(CVec(50)), InvalidArgument);
 }
 
-TEST(SlidingCorrelation, StaysDirectAccurateAcrossReanchorBoundary) {
-  // The rank-one subtract/add chain re-anchors (full rebuild) once
-  // kRebuildEvery updates accumulate; the streaming result must stay
-  // within 1e-12 of the direct per-window computation on both sides of
-  // that boundary, and the update counter must actually reset there.
-  constexpr int kSubarray = 8;
-  constexpr int kWindow = 24;
-  constexpr std::size_t kHop = 3;  // 6 updates/step: incremental (S = 17)
-  Rng rng(77);
-  CVec h(static_cast<std::size_t>(kWindow) + kHop * 800);
-  for (auto& v : h) v = rng.complex_gaussian();
+// ------------------------------------------- smoothed correlation oracle ---
 
-  MusicConfig mc;
-  mc.subarray = kSubarray;
-  mc.max_sources = 4;  // validation: must leave noise eigenvectors at w'=8
-  const SmoothedMusic music(mc);
-  SlidingCorrelation sliding(kSubarray, kWindow);
+using ldouble = long double;
+
+/// Eq. 5.2 exactly as written: the direct O(S w'^2) sum over every
+/// sub-array for every entry, in long double real arithmetic, sharing no
+/// code with the production kernel. Row-major w' x w' (re, im) pairs.
+std::vector<std::pair<ldouble, ldouble>> oracle_correlation(CSpan x,
+                                                            std::size_t wp) {
+  const std::size_t S = x.size() - wp + 1;
+  std::vector<std::pair<ldouble, ldouble>> r(wp * wp);
+  for (std::size_t i = 0; i < wp; ++i)
+    for (std::size_t j = 0; j < wp; ++j) {
+      ldouble re = 0.0L;
+      ldouble im = 0.0L;
+      for (std::size_t s = 0; s < S; ++s) {
+        const ldouble ar = x[s + i].real();
+        const ldouble ai = x[s + i].imag();
+        const ldouble br = x[s + j].real();
+        const ldouble bi = x[s + j].imag();
+        re += ar * br + ai * bi;  // a * conj(b)
+        im += ai * br - ar * bi;
+      }
+      r[i * wp + j] = {re / static_cast<ldouble>(S),
+                       im / static_cast<ldouble>(S)};
+    }
+  return r;
+}
+
+/// The kernel's contracts on one window: within 1e-14 max|R| of the
+/// oracle, an exactly real diagonal, and a lower triangle that is the
+/// exact conjugate of the upper.
+void expect_kernel_matches_oracle(CSpan x, std::size_t wp,
+                                  const std::string& what) {
   linalg::CMatrix r;
-  linalg::CMatrix ref;
-
-  bool saw_reanchor = false;
-  long prev_updates = 0;
-  for (std::size_t pos = 0;
-       pos + static_cast<std::size_t>(kWindow) <= h.size(); pos += kHop) {
-    sliding.advance_to(h, pos);
-    if (sliding.updates_since_rebuild() < prev_updates) saw_reanchor = true;
-    prev_updates = sliding.updates_since_rebuild();
-    ASSERT_LE(prev_updates, SlidingCorrelation::kRebuildEvery);
-
-    sliding.correlation_into(r);
-    music.smoothed_correlation_into(
-        CSpan(h).subspan(pos, static_cast<std::size_t>(kWindow)), ref);
-    for (std::size_t i = 0; i < ref.rows(); ++i)
-      for (std::size_t j = 0; j < ref.cols(); ++j)
-        ASSERT_NEAR(std::abs(r(i, j) - ref(i, j)), 0.0, 1e-12)
-            << "pos=" << pos << " (" << i << "," << j << ")";
+  smoothed_correlation_into(x, wp, r);
+  ASSERT_EQ(r.rows(), wp) << what;
+  ASSERT_EQ(r.cols(), wp) << what;
+  const auto ref = oracle_correlation(x, wp);
+  ldouble max_abs = 0.0L;
+  ldouble max_err = 0.0L;
+  for (std::size_t i = 0; i < wp; ++i)
+    for (std::size_t j = 0; j < wp; ++j) {
+      const auto [re, im] = ref[i * wp + j];
+      max_abs = std::max(max_abs, std::hypot(re, im));
+      max_err = std::max(max_err, std::hypot(r(i, j).real() - re,
+                                             r(i, j).imag() - im));
+    }
+  EXPECT_LE(max_err, 1e-14L * max_abs) << what;
+  for (std::size_t i = 0; i < wp; ++i) {
+    EXPECT_EQ(r(i, i).imag(), 0.0) << what << " diagonal " << i;
+    for (std::size_t j = i + 1; j < wp; ++j) {
+      EXPECT_EQ(r(j, i).real(), r(i, j).real()) << what << " " << i << "," << j;
+      EXPECT_EQ(r(j, i).imag(), -r(i, j).imag()) << what << " " << i << "," << j;
+    }
   }
-  // 800 steps x 6 updates = 4800 > kRebuildEvery: the boundary was crossed.
-  EXPECT_TRUE(saw_reanchor);
+}
+
+TEST(SmoothedCorrelation, MatchesDirectOracleOnScenarioWorlds) {
+  // Every column of the first three cases of each non-faulted scenario
+  // family of base seed 1 (movers, crossings, occupancy, clutter,
+  // interferers), at the default w = 100, w' = 32.
+  const MotionTracker::Config cfg;
+  const auto w = static_cast<std::size_t>(cfg.music.isar.window);
+  const auto wp = static_cast<std::size_t>(cfg.music.subarray);
+  const auto hop = static_cast<std::size_t>(cfg.hop);
+  constexpr std::size_t kCasesPerFamily = 3;
+  std::size_t checked = 0;
+  for (const sim::ScenarioFamily& fam : sim::scenario_families(1)) {
+    if (fam.faults.has_value()) continue;
+    for (std::size_t ci = 0; ci < std::min(kCasesPerFamily, fam.cases.size());
+         ++ci) {
+      const sim::ScenarioCase& sc = fam.cases[ci];
+      const CVec h = sim::generate_scenario(sc.spec, sc.seed).h;
+      for (std::size_t c = 0; c * hop + w <= h.size(); ++c) {
+        expect_kernel_matches_oracle(
+            CSpan(h).subspan(c * hop, w), wp,
+            sc.spec.name + " column " + std::to_string(c));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 1000u);
+}
+
+TEST(SmoothedCorrelation, MatchesDirectOracleOnHostileWindows) {
+  constexpr std::size_t kW = 100;
+  constexpr std::size_t kWp = 32;
+  Rng rng(77);
+  CVec noise(kW);
+  for (auto& v : noise) v = rng.complex_gaussian();
+
+  expect_kernel_matches_oracle(CVec(kW), kWp, "all zeros");
+  expect_kernel_matches_oracle(CVec(kW, cdouble{0.7, -1.3}), kWp, "DC only");
+
+  // 1e8 dynamic range: magnitudes log-uniform over [1e-4, 1e4], and a
+  // single 1e4 spike at the first sample in an otherwise 1e-4 window (the
+  // boundary term of every displacement step along row 0's diagonal).
+  CVec wide(kW);
+  for (std::size_t n = 0; n < kW; ++n)
+    wide[n] = noise[n] * std::pow(10.0, rng.uniform(-4.0, 4.0));
+  expect_kernel_matches_oracle(wide, kWp, "1e8 dynamic range");
+  CVec spike(kW);
+  for (std::size_t n = 0; n < kW; ++n) spike[n] = 1e-4 * noise[n];
+  spike.front() = cdouble{1e4, -1e4};
+  expect_kernel_matches_oracle(spike, kWp, "leading 1e4 spike");
+
+  expect_kernel_matches_oracle(noise, 2, "w' = 2");
+  expect_kernel_matches_oracle(noise, kW, "w' = w (S = 1)");
+  expect_kernel_matches_oracle(CSpan(noise).first(5), 5, "w = w' = 5");
+  expect_kernel_matches_oracle(CSpan(noise).first(1), 1, "w = w' = 1");
+}
+
+TEST(SmoothedCorrelation, RejectsAWindowShorterThanTheSubarray) {
+  linalg::CMatrix r;
+  EXPECT_THROW(smoothed_correlation_into(CVec(31), 32, r), InvalidArgument);
+  EXPECT_THROW(smoothed_correlation_into(CVec(4), 0, r), InvalidArgument);
 }
 
 }  // namespace

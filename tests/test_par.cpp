@@ -2,14 +2,13 @@
 //
 // The load-bearing property is determinism: ParallelImageBuilder output
 // must be bit-identical (same doubles, same model orders) for every
-// thread count 1..8 and for repeated builds on one instance, because the
-// block partition is fixed and every workspace is numerically
-// history-independent. The sliding sequential path is a *different*
-// rounding chain, so against it we only assert the 1e-9 parity bound (on
-// the noise projection 1/A', same convention as test_fastpath_parity).
+// thread count 1..8, for repeated builds on one instance, and to the
+// streaming path, because every column is a pure function of its window
+// and every workspace is numerically history-independent.
 // The pool stress tests here also run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <numeric>
@@ -17,17 +16,17 @@
 #include <variant>
 #include <vector>
 
+#include "src/api/session.hpp"
 #include "src/core/tracker.hpp"
 #include "src/par/image_builder.hpp"
 #include "src/par/thread_pool.hpp"
 #include "src/rt/engine.hpp"
+#include "src/rt/streaming.hpp"
 #include "src/sim/synthetic.hpp"
 #include "src/track/multi_tracker.hpp"
 
 namespace wivi {
 namespace {
-
-constexpr double kParityTol = 1e-9;
 
 CVec make_trace(std::size_t n) {
   return sim::synthetic_mover_trace(n, 404, 0.6);
@@ -153,25 +152,21 @@ TEST(ParallelImageBuilder, RepeatedBuildsOnOneInstanceAreIdentical) {
   expect_images_bit_identical(first, builder.build(h));
 }
 
-TEST(ParallelImageBuilder, MatchesSequentialSlidingPathAtParityTolerance) {
-  // Rebuild-per-block vs rank-one-slide are different rounding chains; the
-  // agreement contract is 1e-9 on the bounded noise projection 1/A'
-  // (the test_fastpath_parity convention), with identical model orders
-  // and identical (exactly computed) time stamps.
-  const CVec h = make_trace(1500);
-  const core::MotionTracker tracker;  // num_threads = 1: sliding path
-  const core::AngleTimeImage seq = tracker.process(h, 0.0);
+TEST(ParallelImageBuilder, MatchesSequentialStreamingPathBitForBit) {
+  // The sequential paths — the batch tracker and a streaming tracker fed
+  // odd-sized chunks (so windows straddle chunk boundaries and buffer
+  // compaction) — against four workers: same columns, model orders and
+  // time stamps, double for double.
+  const CVec h = make_trace(6000);
+  const core::MotionTracker tracker;  // num_threads = 1
   const core::AngleTimeImage p =
-      par::ParallelImageBuilder(tracker.config(), 4).build(h, 0.0);
-  ASSERT_EQ(seq.num_times(), p.num_times());
-  ASSERT_EQ(seq.num_angles(), p.num_angles());
-  for (std::size_t t = 0; t < seq.num_times(); ++t) {
-    EXPECT_EQ(seq.times_sec[t], p.times_sec[t]);
-    EXPECT_EQ(seq.model_orders[t], p.model_orders[t]) << "column " << t;
-    for (std::size_t a = 0; a < seq.num_angles(); ++a)
-      ASSERT_NEAR(1.0 / seq.columns[t][a], 1.0 / p.columns[t][a], kParityTol)
-          << "column " << t << " angle " << a;
-  }
+      par::ParallelImageBuilder(tracker.config(), 4).build(h, 0.5);
+  expect_images_bit_identical(tracker.process(h, 0.5), p);
+
+  rt::StreamingTracker streaming(tracker.config(), 0.5);
+  for (std::size_t pos = 0; pos < h.size(); pos += 37)
+    streaming.push(CSpan(h).subspan(pos, std::min<std::size_t>(37, h.size() - pos)));
+  expect_images_bit_identical(streaming.image(), p);
 }
 
 TEST(ParallelImageBuilder, MotionTrackerNumThreadsRoutesToBuilder) {
@@ -275,6 +270,45 @@ TEST(RunRecorded, MatchesBuilderOutputAndDeliversFullEventStream) {
 
   // A recorded session is closed: offering afterwards is an error.
   EXPECT_THROW((void)engine.offer(id, CVec(10)), std::exception);
+}
+
+TEST(RunRecorded, ColumnsEqualAPushedSessionBitForBit) {
+  // The recorded fast path and a live session fed chunk by chunk deliver
+  // the same column events, double for double.
+  const CVec h = make_trace(1300);
+  api::PipelineSpec spec;
+  spec.t0 = 0.75;
+  api::Session pushed(spec);
+  for (std::size_t pos = 0; pos < h.size(); pos += 100)
+    pushed.push(CSpan(h).subspan(pos, std::min<std::size_t>(100, h.size() - pos)));
+  pushed.finish();
+  std::vector<api::Event> want_events;
+  pushed.poll(want_events);
+  std::vector<const api::ColumnEvent*> want_cols;
+  for (const api::Event& e : want_events)
+    if (const auto* c = std::get_if<api::ColumnEvent>(&e)) want_cols.push_back(c);
+
+  rt::Engine::Config ec;
+  ec.num_threads = 4;
+  rt::Engine engine(ec);
+  const rt::SessionId id = engine.run_recorded(spec, h);
+  std::vector<rt::Event> got_events;
+  engine.poll(got_events);
+  std::vector<const api::ColumnEvent*> got_cols;
+  for (const rt::Event& e : got_events)
+    if (const auto* c = std::get_if<api::ColumnEvent>(&e.event))
+      got_cols.push_back(c);
+
+  ASSERT_GT(want_cols.size(), par::ParallelImageBuilder::kColumnsPerBlock * 3);
+  ASSERT_EQ(got_cols.size(), want_cols.size());
+  for (std::size_t i = 0; i < want_cols.size(); ++i) {
+    EXPECT_EQ(got_cols[i]->column_index, want_cols[i]->column_index);
+    EXPECT_EQ(got_cols[i]->time_sec, want_cols[i]->time_sec) << "column " << i;
+    EXPECT_EQ(got_cols[i]->model_order, want_cols[i]->model_order)
+        << "column " << i;
+    ASSERT_EQ(got_cols[i]->column, want_cols[i]->column) << "column " << i;
+  }
+  expect_images_bit_identical(pushed.image(), engine.tracker(id).image());
 }
 
 TEST(RunRecorded, TrackTargetsSessionMatchesBatchTrackImage) {

@@ -4,10 +4,15 @@
 // resolution scales with aperture (§1.2: "to achieve a narrow beam, the
 // human needs to move by about 4 wavelengths"), nulling depth degrades
 // monotonically with noise and quantization, decoding survives every
-// subject and orientation, and bad inputs fail loudly instead of silently.
+// subject and orientation, bad inputs fail loudly instead of silently, and
+// smoothed MUSIC obeys the metamorphic laws of its own math (scaling,
+// phase rotation and conjugation of the stream).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "src/common/constants.hpp"
 #include "src/common/db.hpp"
@@ -16,9 +21,12 @@
 #include "src/core/isar.hpp"
 #include "src/core/music.hpp"
 #include "src/core/nulling.hpp"
+#include "src/core/tracker.hpp"
 #include "src/dsp/peaks.hpp"
 #include "src/phy/link.hpp"
+#include "src/sim/evaluate.hpp"
 #include "src/sim/protocols.hpp"
+#include "src/sim/scenario.hpp"
 
 namespace wivi {
 namespace {
@@ -241,6 +249,128 @@ TEST(FailureInjection, MusicConfigRejectsDegenerateSetups) {
 TEST(FailureInjection, SteeringGridRejectsBadStep) {
   EXPECT_THROW((void)core::angle_grid_deg(0.0), InvalidArgument);
   EXPECT_THROW((void)core::angle_grid_deg(-1.0), InvalidArgument);
+}
+
+// ------------------------------------------------- metamorphic MUSIC laws ---
+// Each law relates the outputs for a stream and a transformed copy of it,
+// so it needs no reference implementation: it holds for any correct
+// Eq. 5.2/5.3 and fails for a bug the code shares with its own pins.
+
+/// The first three cases of every non-faulted scenario family of base
+/// seed 1 (movers, crossings, occupancy, clutter, interferers).
+std::vector<CVec> scenario_streams() {
+  constexpr std::size_t kCasesPerFamily = 3;
+  std::vector<CVec> out;
+  for (const sim::ScenarioFamily& fam : sim::scenario_families(1)) {
+    if (fam.faults.has_value()) continue;
+    for (std::size_t ci = 0; ci < std::min(kCasesPerFamily, fam.cases.size());
+         ++ci) {
+      const sim::ScenarioCase& sc = fam.cases[ci];
+      out.push_back(sim::generate_scenario(sc.spec, sc.seed).h);
+    }
+  }
+  return out;
+}
+
+/// Runs fn(window of h, window of g) for every image column of the
+/// default imaging configuration.
+template <typename Fn>
+std::size_t for_each_column(const CVec& h, const CVec& g, Fn&& fn) {
+  const core::MotionTracker::Config cfg;
+  const auto w = static_cast<std::size_t>(cfg.music.isar.window);
+  const auto hop = static_cast<std::size_t>(cfg.hop);
+  std::size_t cols = 0;
+  for (std::size_t n = 0; n + w <= h.size(); n += hop, ++cols)
+    fn(CSpan(h).subspan(n, w), CSpan(g).subspan(n, w));
+  return cols;
+}
+
+TEST(MetamorphicMusic, PowerOfTwoScalingScalesRExactlyAndKeepsTheSpectrum) {
+  // x -> 2^k x multiplies every product x x* by exactly 4^k, so R scales
+  // exactly, and every later step is scale-free: the pseudospectrum and
+  // model order do not change by a single bit.
+  const core::SmoothedMusic music;
+  const RVec angles = core::angle_grid_deg(1.0);
+  linalg::CMatrix r, rs;
+  RVec col, col_s;
+  std::size_t cols = 0;
+  for (const CVec& h : scenario_streams()) {
+    for (const int k : {3, -2}) {
+      CVec scaled(h);
+      for (cdouble& v : scaled) v *= std::ldexp(1.0, k);
+      cols += for_each_column(h, scaled, [&](CSpan x, CSpan xs) {
+        music.smoothed_correlation_into(x, r);
+        music.smoothed_correlation_into(xs, rs);
+        for (std::size_t i = 0; i < r.rows(); ++i)
+          for (std::size_t j = 0; j < r.cols(); ++j)
+            ASSERT_EQ(rs(i, j), r(i, j) * std::ldexp(1.0, 2 * k));
+        int order = 0;
+        int order_s = 0;
+        music.pseudospectrum_from_correlation_into(r, angles, col, &order);
+        music.pseudospectrum_from_correlation_into(rs, angles, col_s, &order_s);
+        ASSERT_EQ(order_s, order);
+        ASSERT_EQ(col_s, col);
+      });
+    }
+  }
+  EXPECT_GE(cols, 2000u);
+}
+
+TEST(MetamorphicMusic, GlobalPhaseRotationLeavesTheSpectrumUnchanged) {
+  // x -> e^{j phi} x cancels in every x x* product: R, and with it the
+  // noise projection 1/A', moves by rounding only.
+  const core::SmoothedMusic music;
+  const RVec angles = core::angle_grid_deg(1.0);
+  RVec col, col_r;
+  std::size_t cols = 0;
+  for (const CVec& h : scenario_streams()) {
+    CVec rotated(h);
+    for (cdouble& v : rotated) v *= std::polar(1.0, 2.1);
+    cols += for_each_column(h, rotated, [&](CSpan x, CSpan xr) {
+      int order = 0;
+      int order_r = 0;
+      music.pseudospectrum_into(x, angles, col, &order);
+      music.pseudospectrum_into(xr, angles, col_r, &order_r);
+      ASSERT_EQ(order_r, order);
+      for (std::size_t a = 0; a < angles.size(); ++a)
+        ASSERT_NEAR(1.0 / col_r[a], 1.0 / col[a], 1e-9) << "angle " << a;
+    });
+  }
+  EXPECT_GE(cols, 1000u);
+}
+
+TEST(MetamorphicMusic, ConjugatingTheStreamMirrorsTheAngleAxis) {
+  // x -> conj(x) gives R -> conj(R) (exactly: every rounding is mirrored),
+  // whose eigenvectors are the conjugates; a(-theta) = conj(a(theta)), so
+  // the pseudospectrum at -theta equals the original at theta.
+  const core::SmoothedMusic music;
+  const RVec angles = core::angle_grid_deg(1.0);
+  const std::size_t na = angles.size();
+  for (std::size_t a = 0; a < na; ++a)
+    ASSERT_NEAR(angles[na - 1 - a], -angles[a], 1e-12);
+  linalg::CMatrix r, rc;
+  RVec col, col_c;
+  std::size_t cols = 0;
+  for (const CVec& h : scenario_streams()) {
+    CVec conjugated(h);
+    for (cdouble& v : conjugated) v = std::conj(v);
+    cols += for_each_column(h, conjugated, [&](CSpan x, CSpan xc) {
+      music.smoothed_correlation_into(x, r);
+      music.smoothed_correlation_into(xc, rc);
+      for (std::size_t i = 0; i < r.rows(); ++i)
+        for (std::size_t j = 0; j < r.cols(); ++j)
+          ASSERT_EQ(rc(i, j), std::conj(r(i, j)));
+      int order = 0;
+      int order_c = 0;
+      music.pseudospectrum_from_correlation_into(r, angles, col, &order);
+      music.pseudospectrum_from_correlation_into(rc, angles, col_c, &order_c);
+      ASSERT_EQ(order_c, order);
+      for (std::size_t a = 0; a < na; ++a)
+        ASSERT_NEAR(1.0 / col_c[na - 1 - a], 1.0 / col[a], 1e-9)
+            << "angle " << a;
+    });
+  }
+  EXPECT_GE(cols, 1000u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Streaming-vs-batch parity: a trace fed through the rt streaming stages
 // in arbitrary chunk sizes must reproduce the batch results *bit for bit*
 // — same doubles, not just close ones. This holds because the streaming
-// path executes the identical arithmetic in the identical order (the
-// SlidingCorrelation advance sequence is position-relabelled, never
-// re-ordered), and it is the property the whole runtime's correctness
-// rests on.
+// path executes the identical arithmetic in the identical order (every
+// image column is a pure function of its window's samples, wherever they
+// sit in the buffer), and it is the property the whole runtime's
+// correctness rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +27,7 @@ namespace {
 
 // Traces come from sim::synthetic_mover_trace; the 6000-sample one is
 // long enough to cross StreamingTracker's compaction threshold so the
-// rebase path is covered too.
+// compaction path is covered too.
 
 void expect_images_identical(const core::AngleTimeImage& batch,
                              const core::AngleTimeImage& streamed,
@@ -49,22 +49,29 @@ void expect_images_identical(const core::AngleTimeImage& batch,
 TEST(StreamingTracker, BitForBitParityAcrossChunkSizes) {
   const CVec h = sim::synthetic_mover_trace(6000);
   const double t0 = 3.25;
-  const core::MotionTracker tracker;
-  const core::AngleTimeImage batch = tracker.process(h, t0);
+  // The default hop, and one longer than the window (samples between
+  // windows are never used, and the next window starts past the buffer).
+  for (const int hop : {25, 130}) {
+    core::MotionTracker::Config cfg;
+    cfg.hop = hop;
+    const core::MotionTracker tracker(cfg);
+    const core::AngleTimeImage batch = tracker.process(h, t0);
 
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{25}, std::size_t{100},
-                                  std::size_t{137}, h.size()}) {
-    rt::StreamingTracker streaming(tracker.config(), t0);
-    std::size_t emitted = 0;
-    for (std::size_t pos = 0; pos < h.size(); pos += chunk) {
-      const std::size_t len = std::min(chunk, h.size() - pos);
-      emitted += streaming.push(CSpan(h).subspan(pos, len));
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{25}, std::size_t{100},
+                                    std::size_t{137}, h.size()}) {
+      rt::StreamingTracker streaming(tracker.config(), t0);
+      std::size_t emitted = 0;
+      for (std::size_t pos = 0; pos < h.size(); pos += chunk) {
+        const std::size_t len = std::min(chunk, h.size() - pos);
+        emitted += streaming.push(CSpan(h).subspan(pos, len));
+      }
+      EXPECT_EQ(emitted, batch.num_times());
+      EXPECT_EQ(streaming.samples_seen(), h.size());
+      const std::string label =
+          "hop=" + std::to_string(hop) + " chunk=" + std::to_string(chunk);
+      expect_images_identical(batch, streaming.image(), label.c_str());
     }
-    EXPECT_EQ(emitted, batch.num_times());
-    EXPECT_EQ(streaming.samples_seen(), h.size());
-    const std::string label = "chunk=" + std::to_string(chunk);
-    expect_images_identical(batch, streaming.image(), label.c_str());
   }
 }
 

@@ -16,6 +16,7 @@
 #include "src/core/music.hpp"
 #include "src/dsp/fft.hpp"
 #include "src/linalg/eig.hpp"
+#include "src/par/image_builder.hpp"
 
 namespace {
 
@@ -202,8 +203,8 @@ TEST(ZeroAlloc, SlidingCorrelationStreamingLoopIsAllocationFree) {
   sliding.correlation_into(r);
   music.pseudospectrum_from_correlation_into(r, angles, spectrum, &order);
 
-  // Steady state: the whole per-column chain — slide, normalise,
-  // eigendecompose, project — must not touch the heap.
+  // Steady state: the whole per-column chain — correlate, eigendecompose,
+  // project — must not touch the heap.
   const long before = g_alloc_count;
   for (std::size_t pos = 25; pos + static_cast<std::size_t>(w) <= h.size();
        pos += 25) {
@@ -212,6 +213,38 @@ TEST(ZeroAlloc, SlidingCorrelationStreamingLoopIsAllocationFree) {
     music.pseudospectrum_from_correlation_into(r, angles, spectrum, &order);
   }
   EXPECT_EQ(g_alloc_count - before, 0);
+}
+
+TEST(ZeroAlloc, SmoothedCorrelationKernelIsAllocationFree) {
+  const CVec h = make_trace(400);
+  const core::SmoothedMusic music;
+  const auto w = static_cast<std::size_t>(music.config().isar.window);
+  linalg::CMatrix r;
+  music.smoothed_correlation_into(CSpan(h).first(w), r);  // sizes r
+
+  const long before = g_alloc_count;
+  for (std::size_t pos = 1; pos + w <= h.size(); pos += 7)
+    music.smoothed_correlation_into(CSpan(h).subspan(pos, w), r);
+  EXPECT_EQ(g_alloc_count - before, 0);
+}
+
+TEST(ZeroAlloc, WarmParallelImageBuilderColumnLoopIsAllocationFree) {
+  // One worker, so the column loop runs inline on this thread; the image
+  // of the first build is reused by the second.
+  const CVec h = make_trace(1500);
+  const par::ParallelImageBuilder builder(core::MotionTracker::Config{}, 1);
+  core::AngleTimeImage img;
+  builder.build_into(h, img);
+  ASSERT_GT(img.num_times(), par::ParallelImageBuilder::kColumnsPerBlock * 3);
+
+  const long before = g_alloc_count;
+  builder.build_into(h, img, 0.5);
+  EXPECT_EQ(g_alloc_count - before, 0);
+  // Reusing the storage is numerically invisible.
+  const core::AngleTimeImage fresh = builder.build(h, 0.5);
+  EXPECT_EQ(img.columns, fresh.columns);
+  EXPECT_EQ(img.model_orders, fresh.model_orders);
+  EXPECT_EQ(img.times_sec, fresh.times_sec);
 }
 
 }  // namespace
