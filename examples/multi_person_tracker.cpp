@@ -95,20 +95,20 @@ int main(int argc, char** argv) {
              batch[i].angles_deg == streamed[i].angles_deg;
   std::printf("streaming == batch: %s\n\n", parity ? "yes (bit for bit)" : "NO");
 
-  // The batch-throughput route for the same trace: the same spec, executed
-  // in the parallel-offline mode — the image built column-parallel
-  // (par::ParallelImageBuilder) instead of chunk by chunk. Every column is
-  // a pure function of its window, so the image is the streamed one bit
-  // for bit and the track picture must agree.
+  // The batch-throughput route for the same trace: the same spec, run as
+  // one push of the whole trace with its image columns computed on
+  // `threads` cores. Every column is a pure function of its window, so
+  // the image is the streamed one bit for bit and the track picture must
+  // agree.
   PipelineSpec parallel_spec;
   parallel_spec.image.emit_columns = false;
   parallel_spec.track = api::TrackStage{};
   Session parallel_session(std::move(parallel_spec));
-  parallel_session.run(h, Parallelism{threads});
+  parallel_session.run(h, threads);
   int parallel_confirmed = 0;
   for (const auto& tr : parallel_session.multi_tracker().histories())
     parallel_confirmed += tr.confirmed_ever;
-  std::printf("column-parallel batch (Parallelism{%d}): "
+  std::printf("batch run, %d image thread(s) (0 = all cores): "
               "%d confirmed tracks\n\n", threads, parallel_confirmed);
 
   std::printf("track summary (confirmed tracks only):\n");

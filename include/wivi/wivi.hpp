@@ -11,7 +11,7 @@
 ///   wivi::PipelineSpec spec;
 ///   spec.count = wivi::api::CountStage{};
 ///   wivi::Session session(std::move(spec));
-///   session.run(samples);                    // or push(chunk) / run(.., Parallelism{n})
+///   session.run(samples);                    // or push(chunk) / run(samples, n)
 ///   std::printf("%g\n", session.spatial_variance());
 /// @endcode
 ///

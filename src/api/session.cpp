@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/error.hpp"
-#include "src/par/image_builder.hpp"
 
 namespace wivi::api {
 
@@ -128,7 +127,7 @@ void Session::guard_chunk(CSpan chunk) const {
 }
 
 /// Deliver the per-column events for columns [from, end) plus one update
-/// round of each attached stage — the shared tail of every execution mode
+/// round of each attached stage — the tail of every accepted push
 /// (ColumnEvents, then CountEvent, TracksEvent, BitsEvent).
 void Session::emit_new_columns(std::size_t from) {
   const core::AngleTimeImage& img = tracker_.image();
@@ -172,8 +171,9 @@ void Session::emit_new_columns(std::size_t from) {
   }
 }
 
-std::size_t Session::push(CSpan chunk) {
+std::size_t Session::push(CSpan chunk, int num_threads) {
   WIVI_REQUIRE(state_ == State::kOpen, "push() on a finished session");
+  WIVI_REQUIRE(num_threads >= 0, "num_threads must be >= 0");
   // Outside guarded(): a rejected chunk is a no-op, not a session death.
   {
     obs::ScopedSpan span(&obs_, obs::Stage::kGuard);
@@ -191,7 +191,7 @@ std::size_t Session::push(CSpan chunk) {
     if (fault_hook_) fault_hook_(pushes_accepted_);
     ++pushes_accepted_;
     const std::size_t before = tracker_.num_columns();
-    tracker_.push(chunk);
+    tracker_.push(chunk, num_threads);
     emit_new_columns(before);
     return tracker_.num_columns() - before;
   });
@@ -220,45 +220,10 @@ void Session::finish() {
   });
 }
 
-void Session::run(CSpan trace) {
+void Session::run(CSpan trace, int num_threads) {
   // An empty recorded trace is a legal degenerate batch (0 columns), not
   // a malformed chunk — skip straight to the finalisation.
-  if (!trace.empty()) push(trace);
-  finish();
-}
-
-void Session::run(CSpan trace, int num_threads) {
-  if (num_threads == 1)
-    run(trace);
-  else
-    run(trace, Parallelism{num_threads});
-}
-
-void Session::run(CSpan trace, Parallelism parallel) {
-  WIVI_REQUIRE(state_ == State::kOpen, "run() on a finished session");
-  WIVI_REQUIRE(parallel.num_threads >= 0,
-               "Parallelism num_threads must be >= 0");
-  // Checked before guarded(): a precondition slip here should not poison
-  // the session like a mid-stream stage failure would.
-  WIVI_REQUIRE(samples_seen() == 0,
-               "parallel run() requires a fresh session (nothing pushed)");
-  // Same ingress boundary as the streaming path (a batch trace is one big
-  // chunk), same no-op-on-rejection semantics: checked before guarded().
-  if (!trace.empty()) guard_chunk(trace);
-  guarded([&] {
-    const auto w =
-        static_cast<std::size_t>(spec_.image.tracker.music.isar.window);
-    if (trace.size() >= w) {
-      // A builder per call: par::ThreadPool is one-job-at-a-time, so
-      // concurrent Sessions must not share one pool.
-      ::wivi::par::ParallelImageBuilder builder(spec_.image.tracker,
-                                                parallel.num_threads);
-      tracker_.adopt(trace, builder.build(trace, spec_.t0));
-    } else if (!trace.empty()) {
-      (void)tracker_.push(trace);  // shorter than one window: no columns
-    }
-    emit_new_columns(0);
-  });
+  if (!trace.empty()) push(trace, num_threads);
   finish();
 }
 

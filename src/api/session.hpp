@@ -4,14 +4,14 @@
 /// A Session is the single entry point to the Wi-Vi dataflow: compile a
 /// declarative api::PipelineSpec once, then execute it
 ///
-///   * **batch** — run(trace): one whole recorded stream;
 ///   * **chunked streaming** — push(chunk) ... finish(): live chunks of any
 ///     size, bit-identical to the batch pass (built on the rt::Streaming*
 ///     state machines and their pinned streaming==batch contract);
-///   * **parallel offline** — run(trace, Parallelism{n}): the image built
-///     column-parallel over n workers (par::ParallelImageBuilder +
-///     rt::StreamingTracker::adopt) — the same image bit for bit, since
-///     every column is a pure function of its window (DESIGN.md §7);
+///   * **batch** — run(trace, num_threads): push(trace, num_threads) then
+///     finish() for one whole recorded stream. The thread count only
+///     decides how many cores compute the image columns (every column is a
+///     pure function of its window, DESIGN.md §7): images, events and
+///     stats are the same for every value;
 ///   * **multiplexed** — rt::Engine owns one Session per sensor and drives
 ///     the same push()/finish() path under its worker pool.
 ///
@@ -21,7 +21,8 @@
 ///
 /// Threading: a Session is single-threaded like the stages it compiles —
 /// one instance per sensor stream, one thread at a time (rt::Engine
-/// enforces this with its per-session claim; see DESIGN.md §4).
+/// enforces this with its per-session claim; see DESIGN.md §4). A push
+/// with num_threads != 1 runs its column workers inside the call.
 #pragma once
 
 #include <cstddef>
@@ -40,14 +41,6 @@ namespace wivi::api {
 
 /// @addtogroup wivi_api
 /// @{
-
-/// Parallel-execution request for Session::run(): shard the image build
-/// over this many workers (0 = hardware concurrency). Output is
-/// bit-identical for every worker count (DESIGN.md §7).
-struct Parallelism {
-  /// Worker threads for the column-parallel image build; 0 = all cores.
-  int num_threads = 0;
-};
 
 /// One stage's latency summary inside PipelineStats.
 struct StageLatency {
@@ -94,6 +87,9 @@ class Session {
 
   /// Streaming execution: ingest one chunk of any size and emit the events
   /// it completes. Returns the number of image columns the chunk finished.
+  /// With `num_threads` != 1 (0 = all cores) the chunk's columns are
+  /// computed over that many workers (rt::StreamingTracker::push) — the
+  /// same columns, events and stats as with 1.
   ///
   /// The chunk is first validated against the spec's InputGuard (ingress
   /// trust boundary): an empty, oversized, frame-misaligned or non-finite
@@ -103,32 +99,16 @@ class Session {
   /// contrast, propagate after the session delivers a best-effort
   /// ErrorEvent (sink exceptions wrapped as ErrorCode::kSinkFailure,
   /// everything else classified kStageFailure) and marks itself failed().
-  std::size_t push(CSpan chunk);
+  std::size_t push(CSpan chunk, int num_threads = 1);
 
   /// End of stream: final gesture flush, final stage updates, then
   /// FinishedEvent. The session only accepts accessor reads afterwards.
   void finish();
 
-  /// Batch execution: push(trace) then finish() in one call — bit-identical
-  /// to any chunking of the same stream.
-  void run(CSpan trace);
-
-  /// Parallel offline execution of a fully recorded trace: the angle-time
-  /// image is built column-parallel (par::ParallelImageBuilder over
-  /// `par.num_threads` workers) and adopted, then the downstream stages
-  /// run once over the finished image — so CountEvent/TracksEvent/
-  /// BitsEvent arrive once (after all columns) instead of once per chunk;
-  /// the columns are bit-identical to run(trace)'s (DESIGN.md §7).
-  /// Requires a fresh session (nothing pushed yet).
-  void run(CSpan trace, Parallelism parallel);
-
-  /// Batch execution with the historical thread-count convention of
-  /// core::MotionTracker::Config::num_threads: 1 runs the sequential
-  /// streaming path (run(trace)); any other value runs the column-parallel
-  /// offline mode (run(trace, Parallelism{num_threads}); 0 = all cores).
-  /// This is the single home of that mapping — track::track_trace and the
-  /// sim trial runners route through here.
-  void run(CSpan trace, int num_threads);
+  /// Batch execution: push(trace, num_threads) then finish() in one call
+  /// — bit-identical to any chunking of the same stream at any thread
+  /// count. An empty trace is a legal degenerate batch (0 columns).
+  void run(CSpan trace, int num_threads = 1);
 
   /// Move all queued events into `out` (appended); returns how many.
   /// Returns 0 when a callback sink is installed (nothing ever queues).
@@ -198,7 +178,7 @@ class Session {
   }
   /// Time step between image columns.
   [[nodiscard]] double column_period_sec() const noexcept {
-    return tracker_.column_period_sec();
+    return spec_.image.tracker.column_period_sec();
   }
 
   /// Point-in-time telemetry: cumulative counters plus per-stage latency
@@ -275,7 +255,5 @@ namespace wivi {
 using api::PipelineSpec;
 /// Canonical short spelling of api::Session.
 using api::Session;
-/// Canonical short spelling of api::Parallelism.
-using api::Parallelism;
 
 }  // namespace wivi

@@ -5,9 +5,9 @@
 /// angle-time image → detect/track/gesture/count — and a PipelineSpec is its
 /// complete declarative description: the mandatory image stage plus an
 /// optional<> per downstream stage. A spec says *what* to compute;
-/// *how* it executes — batch, chunked streaming, column-parallel offline,
-/// or multiplexed inside rt::Engine — is chosen per call on the compiled
-/// wivi::Session, and every mode produces identical results (see
+/// *how* it executes — batch, chunked streaming, or multiplexed inside
+/// rt::Engine, on any number of image threads — is chosen per call on the
+/// compiled wivi::Session, and every mode produces identical results (see
 /// DESIGN.md §8).
 ///
 /// The per-stage configuration structs are the single source of truth the
@@ -31,9 +31,8 @@ namespace wivi::api {
 /// The mandatory front end: channel-estimate samples → smoothed-MUSIC
 /// angle-time image (§5.2).
 struct ImageStage {
-  /// Imaging configuration (hop, angle grid, MUSIC parameters).
-  /// `tracker.num_threads` is ignored by the Session — the execution mode
-  /// (and thread count) is chosen per run()/push() call, not in the spec.
+  /// Imaging configuration (hop, angle grid, MUSIC parameters). The
+  /// thread count is chosen per run()/push() call, not in the spec.
   core::MotionTracker::Config tracker;
   /// Emit a ColumnEvent per completed image column (costs one column copy;
   /// turn off for counting- or tracking-only workloads).

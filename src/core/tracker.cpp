@@ -48,27 +48,37 @@ double AngleTimeImage::global_max() const {
   return hi;
 }
 
+void MotionTracker::Config::validate() const {
+  WIVI_REQUIRE(hop >= 1, "hop must be >= 1");
+  WIVI_REQUIRE(angle_step_deg > 0.0, "angle step must be positive");
+}
+
+double MotionTracker::Config::column_period_sec() const noexcept {
+  return static_cast<double>(hop) * music.isar.sample_period_sec;
+}
+
+std::size_t MotionTracker::Config::columns_in(
+    std::size_t samples) const noexcept {
+  const auto w = static_cast<std::size_t>(music.isar.window);
+  return samples >= w ? (samples - w) / static_cast<std::size_t>(hop) + 1 : 0;
+}
+
+double MotionTracker::Config::column_time_sec(std::size_t c,
+                                              double t0) const noexcept {
+  const double start =
+      static_cast<double>(c * static_cast<std::size_t>(hop));
+  return t0 + (start + static_cast<double>(music.isar.window) / 2.0) *
+                  music.isar.sample_period_sec;
+}
+
 MotionTracker::MotionTracker() : MotionTracker(Config{}) {}
 
-MotionTracker::MotionTracker(Config cfg) : cfg_(cfg) {
-  WIVI_REQUIRE(cfg_.hop >= 1, "hop must be >= 1");
-  WIVI_REQUIRE(cfg_.angle_step_deg > 0.0, "angle step must be positive");
-  WIVI_REQUIRE(cfg_.num_threads >= 0, "num_threads must be >= 0");
-}
-
-double MotionTracker::column_period_sec() const noexcept {
-  return static_cast<double>(cfg_.hop) * cfg_.music.isar.sample_period_sec;
-}
+MotionTracker::MotionTracker(Config cfg) : cfg_(cfg) { cfg_.validate(); }
 
 AngleTimeImage MotionTracker::process(CSpan h, double t0) const {
-  // Every column is a pure function of its window, so one column loop
-  // serves every thread count: 1 runs inline with no threads, anything
-  // else shards the columns over a pool. The builder (pool + per-worker
-  // workspaces) is constructed per call — noise next to a whole-trace
-  // build, and it keeps const process() callable concurrently; loops that
-  // build many images back to back should hold a
-  // par::ParallelImageBuilder directly.
-  return par::ParallelImageBuilder(cfg_, cfg_.num_threads).build(h, t0);
+  // The one column loop (the builder's) on one thread: no pool threads
+  // start, and const process() stays callable concurrently.
+  return par::ParallelImageBuilder(cfg_, 1).build(h, t0);
 }
 
 RVec MotionTracker::dominant_angle_trace(const AngleTimeImage& img,

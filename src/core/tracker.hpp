@@ -52,12 +52,19 @@ class MotionTracker {
     int hop = 25;
     /// Angle grid step in degrees (paper sums theta over [-90, 90]).
     double angle_step_deg = 1.0;
-    /// Worker threads for process(), which shards the image columns over
-    /// a par::ParallelImageBuilder pool (0 = hardware concurrency; 1, the
-    /// default, runs inline). Every column is a pure function of its
-    /// window, so the image is bit-identical for every thread count and
-    /// to rt::StreamingTracker (see DESIGN.md §7).
-    int num_threads = 1;
+
+    /// Throw InvalidArgument unless hop >= 1 and angle_step_deg > 0 (the
+    /// check every image-stage constructor runs).
+    void validate() const;
+    /// Time step between image columns.
+    [[nodiscard]] double column_period_sec() const noexcept;
+    /// Image columns completed by the first `samples` samples of a stream.
+    [[nodiscard]] std::size_t columns_in(std::size_t samples) const noexcept;
+    /// Time stamp of column `c` of a stream whose first sample is at `t0`:
+    /// the centre of the column's window. Every image path stamps its
+    /// columns here, so their times_sec agree bit for bit.
+    [[nodiscard]] double column_time_sec(std::size_t c,
+                                         double t0) const noexcept;
   };
 
   MotionTracker();  ///< Build a tracker with the default Config.
@@ -67,11 +74,10 @@ class MotionTracker {
   /// The tracker's configuration.
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
-  /// Time step between image columns.
-  [[nodiscard]] double column_period_sec() const noexcept;
-
-  /// Run smoothed MUSIC over sliding windows of the channel stream.
-  /// `t0` is the absolute time of h.front().
+  /// Run smoothed MUSIC over sliding windows of the channel stream, on the
+  /// calling thread. `t0` is the absolute time of h.front(). To shard a
+  /// long trace over cores use par::ParallelImageBuilder or
+  /// wivi::Session::run(trace, num_threads) — the image is the same.
   [[nodiscard]] AngleTimeImage process(CSpan h, double t0 = 0.0) const;
 
   /// Dominant non-DC angle per column: the angle of the strongest

@@ -141,31 +141,27 @@ SessionId Engine::run_recorded(api::PipelineSpec spec, CSpan trace) {
   Session& s = session(id);
   // Claim the session for this thread. It is freshly opened with an empty
   // ring and no close flag, so no worker ever contends for it — the
-  // exchange documents that this thread now plays the worker role.
+  // exchange documents that this thread now plays the worker role. Closed
+  // only once claimed: a worker seeing closed + empty ring would
+  // otherwise race to finalise it.
   while (s.busy.exchange(true, std::memory_order_acquire))
     std::this_thread::yield();
+  s.closed.store(true, std::memory_order_release);
+  const std::int64_t ingress = now_ns();
   s.chunks_in.fetch_add(1, std::memory_order_relaxed);
   s.samples_in.fetch_add(trace.size(), std::memory_order_relaxed);
   m_.chunks_in.add();
   m_.samples_in.add(trace.size());
   try {
-    s.pipeline->run(trace, api::Parallelism{num_threads_});
-    s.columns_out.store(s.pipeline->columns_seen(),
-                        std::memory_order_relaxed);
-    m_.samples_processed.add(trace.size());
-    s.closed.store(true, std::memory_order_release);
-    s.finished.store(true, std::memory_order_release);
-    m_.sessions_finished.add();
+    if (!trace.empty()) process_chunk(s, trace, ingress, num_threads_);
+    finalize(s);
   } catch (const TypedError& e) {
-    // Includes an InputGuard rejection of the whole trace: in recorded
-    // mode the trace *is* the stream, so a rejected trace is terminal.
-    s.closed.store(true, std::memory_order_release);
+    // Includes an InputGuard rejection of the whole trace (counted by
+    // process_chunk): the trace *is* the stream, so it is terminal here.
     fail_session(s, e.code(), e.what());
   } catch (const std::exception& e) {
-    s.closed.store(true, std::memory_order_release);
     fail_session(s, ErrorCode::kStageFailure, e.what());
   } catch (...) {
-    s.closed.store(true, std::memory_order_release);
     fail_session(s, ErrorCode::kStageFailure, "unknown exception");
   }
   s.busy.store(false, std::memory_order_release);
@@ -385,15 +381,6 @@ const api::Session& Engine::pipeline(SessionId id) const {
   return *session(id).pipeline;
 }
 
-const StreamingTracker& Engine::tracker(SessionId id) const {
-  return session(id).pipeline->tracker();
-}
-
-const core::GestureDecoder::Result& Engine::gesture_result(
-    SessionId id) const {
-  return session(id).pipeline->gesture_result();
-}
-
 const track::MultiTargetTracker& Engine::multi_tracker(SessionId id) const {
   return session(id).pipeline->multi_tracker();
 }
@@ -503,7 +490,18 @@ bool Engine::try_process(Session& s) {
     } else {
       Ingested in;
       for (int i = 0; i < cfg_.chunks_per_claim && s.ring.try_pop(in); ++i) {
-        process_chunk(s, std::move(in));
+        // Ring wait: how long the chunk sat between offer() and this pop.
+        const std::int64_t popped = now_ns();
+        if (popped > in.ingress_ns)
+          m_.ingress_wait_ns.record(
+              static_cast<std::uint64_t>(popped - in.ingress_ns));
+        try {
+          process_chunk(s, in.samples, in.ingress_ns);
+        } catch (const TypedError& e) {
+          // InputGuard rejection: by contract a no-op for the pipeline —
+          // the session stays healthy, the malformed chunk is only counted.
+          if (e.code() != ErrorCode::kInvalidChunk) throw;
+        }
         check_overload(s);
         in.samples.clear();
         did_work = true;
@@ -532,33 +530,31 @@ bool Engine::try_process(Session& s) {
   return did_work;
 }
 
-void Engine::process_chunk(Session& s, Ingested in) {
-  const CVec& chunk = in.samples;
-  // Ring wait: how long the chunk sat between offer() and this pop.
-  const std::int64_t popped = now_ns();
-  if (popped > in.ingress_ns)
-    m_.ingress_wait_ns.record(
-        static_cast<std::uint64_t>(popped - in.ingress_ns));
+/// Push one chunk through the session's pipeline and keep the
+/// conservation counters: a processed chunk's samples count as processed,
+/// a chunk the InputGuard rejects as rejected, a chunk dying in a stage
+/// or the sink as lost. Every exception propagates after it is counted —
+/// a rejection too; the caller decides whether that one is terminal.
+void Engine::process_chunk(Session& s, CSpan chunk, std::int64_t ingress_ns,
+                           int num_threads) {
   // The pipeline emits every event itself (through the session sink
   // installed at arm time); the engine only maintains the counters. The
   // counter is synced even when event delivery throws mid-chunk: the
   // image columns were completed before delivery started, and some may
   // already have reached the consumer.
   try {
-    s.pipeline->push(chunk);
+    s.pipeline->push(chunk, num_threads);
   } catch (const TypedError& e) {
     s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
                         std::memory_order_relaxed);
     if (e.code() == ErrorCode::kInvalidChunk) {
-      // InputGuard rejection: by contract a no-op for the pipeline — the
-      // session stays healthy, the malformed chunk is only counted.
       s.chunks_rejected.fetch_add(1, std::memory_order_relaxed);
       s.samples_rejected.fetch_add(chunk.size(), std::memory_order_relaxed);
       m_.chunks_rejected.add();
       m_.samples_rejected.add(chunk.size());
-      return;
+    } else {
+      m_.samples_lost.add(chunk.size());
     }
-    m_.samples_lost.add(chunk.size());
     throw;
   } catch (...) {
     s.columns_out.store(s.columns_base + s.pipeline->columns_seen(),
@@ -572,8 +568,8 @@ void Engine::process_chunk(Session& s, Ingested in) {
   // End-to-end chunk latency: offer() to fully processed (events
   // delivered). Engine-wide and per-session (the StatsEvent payload).
   const std::int64_t done = now_ns();
-  if (done > in.ingress_ns) {
-    const auto lat = static_cast<std::uint64_t>(done - in.ingress_ns);
+  if (done > ingress_ns) {
+    const auto lat = static_cast<std::uint64_t>(done - ingress_ns);
     m_.chunk_latency_ns.record(lat);
     s.latency.record(lat);
   }

@@ -36,7 +36,6 @@
 #include "src/api/session.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/rt/spsc_ring.hpp"
-#include "src/rt/streaming.hpp"
 
 namespace wivi::rt {
 
@@ -250,17 +249,17 @@ class Engine {
   /// Thread-safe.
   SessionId open_session(api::PipelineSpec spec, IngestConfig ingest = {});
 
-  /// Offline fast path for a fully recorded trace: open a session and
-  /// execute its pipeline in the parallel-offline mode
-  /// (wivi::Session::run(trace, Parallelism) — the image built
-  /// column-parallel over this engine's thread count), delivering the same
-  /// per-session event sequence a kBlock replay would — except that
-  /// CountEvent/TracksEvent/BitsEvent land once (after all columns)
-  /// instead of once per chunk; the columns themselves are bit-identical
-  /// to a pushed session's (see DESIGN.md §7). Blocks the calling
-  /// thread for the whole computation (events are delivered from it) and
-  /// returns the finished session's id; offer() on it is an error.
-  /// Thread-safe, and concurrent callers parallelise independently.
+  /// Run a fully recorded trace: open a session and execute its pipeline
+  /// as wivi::Session::run(trace, num_threads()) — one push of the whole
+  /// trace, its image columns computed over this engine's thread count,
+  /// then finish(). The per-session event sequence is that of a
+  /// single-chunk push, and the trace counts as one chunk in every
+  /// counter. In recorded mode the trace *is* the stream, so a trace the
+  /// InputGuard rejects is terminal: counted in chunks_rejected, then an
+  /// ErrorEvent{kInvalidChunk}. Blocks the calling thread for the whole
+  /// computation (events are delivered from it) and returns the finished
+  /// session's id; offer() on it is an error. Thread-safe, and concurrent
+  /// callers parallelise independently.
   SessionId run_recorded(api::PipelineSpec spec, CSpan trace);
 
   /// Ingest one chunk (one producer thread per session at a time). Returns
@@ -324,17 +323,12 @@ class Engine {
   [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
 
   /// The session's compiled pipeline — safe to read once the session is
-  /// finished (FinishedEvent observed or drain() returned).
+  /// finished (FinishedEvent observed or drain() returned). Its tracker(),
+  /// multi_tracker() and gesture_result() are the session's results.
   [[nodiscard]] const api::Session& pipeline(SessionId id) const;
 
-  /// The session's streaming image stage — safe to read once the session
-  /// is finished, like pipeline().
-  [[nodiscard]] const StreamingTracker& tracker(SessionId id) const;
-  /// Final gesture decode (sessions with a gesture stage; post-drain).
-  [[nodiscard]] const core::GestureDecoder::Result& gesture_result(
-      SessionId id) const;
-  /// The session's multi-target tracker (sessions with a track stage) —
-  /// safe to read once the session is finished, like pipeline().
+  /// pipeline(id).multi_tracker(). Kept only because the frozen benchmark
+  /// (wirebench/) calls it; delete it at the next benchmark change.
   [[nodiscard]] const track::MultiTargetTracker& multi_tracker(
       SessionId id) const;
 
@@ -434,7 +428,8 @@ class Engine {
 
   void worker_loop(int wid);
   bool try_process(Session& s);
-  void process_chunk(Session& s, Ingested in);
+  void process_chunk(Session& s, CSpan chunk, std::int64_t ingress_ns,
+                     int num_threads = 1);
   void check_overload(Session& s);
   void check_watchdog(Session& s, std::int64_t now_ns);
   void maybe_emit_stats(Session& s, std::int64_t now_ns);

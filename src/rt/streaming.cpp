@@ -4,6 +4,7 @@
 
 #include "src/common/error.hpp"
 #include "src/obs/trace.hpp"
+#include "src/par/image_builder.hpp"
 
 namespace wivi::rt {
 
@@ -13,8 +14,7 @@ StreamingTracker::StreamingTracker(core::MotionTracker::Config cfg, double t0)
     : cfg_(cfg),
       t0_(t0),
       music_(cfg.music) {
-  WIVI_REQUIRE(cfg_.hop >= 1, "hop must be >= 1");
-  WIVI_REQUIRE(cfg_.angle_step_deg > 0.0, "angle step must be positive");
+  cfg_.validate();
   // Both heavyweight artifacts resolve through the shared plan registry at
   // construction: the angle grid is copied out of the shared build (the
   // public image keeps its own RVec), and prewarming the steering table
@@ -24,34 +24,47 @@ StreamingTracker::StreamingTracker(core::MotionTracker::Config cfg, double t0)
   music_.prewarm(img_.angles_deg);
 }
 
-double StreamingTracker::column_period_sec() const noexcept {
-  return static_cast<double>(cfg_.hop) * cfg_.music.isar.sample_period_sec;
-}
-
 void StreamingTracker::reset(double t0) {
   obs::PipelineObserver* const keep = obs_;
   *this = StreamingTracker(cfg_, t0);
   obs_ = keep;
 }
 
-std::size_t StreamingTracker::push(CSpan chunk) {
-  buf_.insert(buf_.end(), chunk.begin(), chunk.end());
+std::size_t StreamingTracker::push(CSpan chunk, int num_threads) {
+  WIVI_REQUIRE(num_threads >= 0, "num_threads must be >= 0");
+  WIVI_REQUIRE(img_.num_times() == next_col_, "push() after take_image()");
   const auto w = static_cast<std::size_t>(cfg_.music.isar.window);
   const auto hop = static_cast<std::size_t>(cfg_.hop);
-  const double T = cfg_.music.isar.sample_period_sec;
+  // The stream from sample base_ on: the chunk itself when nothing is
+  // buffered (a whole recorded trace is then read in place, and only its
+  // window tail is kept), else the buffer with the chunk appended.
+  const bool in_place = buf_.empty();
+  if (!in_place) buf_.insert(buf_.end(), chunk.begin(), chunk.end());
+  const CSpan stream = in_place ? chunk : CSpan(buf_);
+  const std::size_t first = next_col_;
+  const std::size_t end = cfg_.columns_in(base_ + stream.size());
 
-  // Emit every column whose window is now fully buffered. Each column is
-  // a pure function of its window — the same correlation kernel and
+  // Emit every column whose window is now complete. Each column is a pure
+  // function of its window — the same correlation kernel and
   // pseudospectrum the batch MotionTracker::process() runs — so where the
-  // window sits in buf_ (and how chunks split the stream) cannot change a
-  // bit: streaming == batch exactly.
-  std::size_t emitted = 0;
+  // window sits, how chunks split the stream and which thread computes
+  // it cannot change a bit: streaming == batch exactly.
+  if (num_threads != 1 && decim_ == 1 && end > first) {
+    img_.columns.resize(end);
+    img_.model_orders.resize(end);
+    img_.times_sec.resize(end);
+    // A builder per call: par::ThreadPool is one-job-at-a-time, so
+    // concurrent trackers must not share one pool.
+    par::ParallelImageBuilder(cfg_, num_threads)
+        .build_columns(stream, base_, first, img_, t0_, obs_);
+    next_col_ = end;
+  }
   linalg::CMatrix& r = core::music_scratch().r;
-  while (base_ + buf_.size() >= next_col_ * hop + w) {
-    const std::size_t n = next_col_ * hop;  // absolute stream offset
+  for (; next_col_ < end; ++next_col_) {
     {
       obs::ScopedSpan span(obs_, obs::Stage::kStft);
-      music_.smoothed_correlation_into(CSpan(buf_).subspan(n - base_, w), r);
+      music_.smoothed_correlation_into(
+          stream.subspan(next_col_ * hop - base_, w), r);
     }
     img_.columns.emplace_back();
     int order = 0;
@@ -64,41 +77,21 @@ std::size_t StreamingTracker::push(CSpan chunk) {
     }
     span.stop();
     img_.model_orders.push_back(order);
-    img_.times_sec.push_back(
-        t0_ + (static_cast<double>(n) + static_cast<double>(w) / 2.0) * T);
-    ++next_col_;
-    ++emitted;
+    img_.times_sec.push_back(cfg_.column_time_sec(next_col_, t0_));
   }
-  if (emitted > 0) compact();
-  return emitted;
-}
 
-void StreamingTracker::adopt(CSpan stream, core::AngleTimeImage&& img) {
-  WIVI_REQUIRE(base_ == 0 && buf_.empty() && next_col_ == 0,
-               "adopt() requires a fresh tracker");
-  const auto w = static_cast<std::size_t>(cfg_.music.isar.window);
-  const auto hop = static_cast<std::size_t>(cfg_.hop);
-  const std::size_t expect_cols =
-      stream.size() >= w ? (stream.size() - w) / hop + 1 : 0;
-  WIVI_REQUIRE(img.num_times() == expect_cols,
-               "adopted image does not match the stream length");
-  WIVI_REQUIRE(img.angles_deg == img_.angles_deg,
-               "adopted image is on a different angle grid");
-  WIVI_REQUIRE(img.times_sec.size() == expect_cols &&
-                   img.model_orders.size() == expect_cols,
-               "adopted image is internally inconsistent "
-               "(times/model_orders vs columns)");
-  for (const RVec& col : img.columns)
-    WIVI_REQUIRE(col.size() == img.angles_deg.size(),
-                 "adopted image has a column of the wrong height");
-
-  img_ = std::move(img);
-  next_col_ = expect_cols;
-  // Keep exactly the tail a future column could still need: everything
-  // from the next window start on.
-  base_ = std::min(next_col_ * hop, stream.size());
-  buf_.assign(stream.begin() + static_cast<std::ptrdiff_t>(base_),
-              stream.end());
+  if (in_place) {
+    // Keep exactly the tail a future column could still need: everything
+    // from the next window start on (with hop > window that start can lie
+    // past the chunk's end).
+    const std::size_t keep = std::min(next_col_ * hop, base_ + chunk.size());
+    buf_.assign(chunk.begin() + static_cast<std::ptrdiff_t>(keep - base_),
+                chunk.end());
+    base_ = keep;
+  } else if (end > first) {
+    compact();
+  }
+  return end - first;
 }
 
 void StreamingTracker::set_angle_decimation(int factor) {

@@ -35,9 +35,11 @@ namespace wivi::rt {
 
 /// Streaming counterpart of core::MotionTracker: push sample chunks of any
 /// size, get image columns appended to image() exactly as the batch
-/// process() would have produced them. Memory stays bounded — samples
-/// before the next window start are compacted away (the growing image
-/// itself is the caller's to keep or trim).
+/// process() would have produced them. Memory stays bounded — only the
+/// samples from the next window start on are kept, and a chunk pushed
+/// into an empty buffer (a whole recorded trace, say) is read in place,
+/// never copied whole (the growing image itself is the caller's to keep
+/// or trim).
 class StreamingTracker {
  public:
   /// Start a streaming image at absolute time `t0` (time of the first
@@ -45,20 +47,15 @@ class StreamingTracker {
   explicit StreamingTracker(core::MotionTracker::Config cfg = core::MotionTracker::Config(),
                             double t0 = 0.0);
 
-  /// Ingest one chunk; returns the number of columns it completed.
-  std::size_t push(CSpan chunk);
-
-  /// Adopt the image of a fully recorded stream that was built externally
-  /// (par::ParallelImageBuilder — the Engine::run_recorded offline fast
-  /// path). Requires a fresh tracker (nothing pushed yet) and an image
-  /// whose shape matches what push(stream) would have produced for this
-  /// configuration — column count, angle grid (values, not just size) and
-  /// internal consistency are all enforced; a violation throws
-  /// InvalidArgument. Afterwards the tracker reads as if `stream` had been
-  /// pushed: samples_seen(), num_columns() and image() all line up, and
-  /// further push() calls continue the stream (the window tail is
-  /// retained).
-  void adopt(CSpan stream, core::AngleTimeImage&& img);
+  /// Ingest one chunk; returns the number of columns it completed. With
+  /// `num_threads` != 1 those columns are sharded over a
+  /// par::ParallelImageBuilder of that many workers (0 = all cores) —
+  /// worth it for a chunk that completes many columns, like a whole
+  /// recorded trace. Every column is a pure function of its window, so
+  /// the image is bit-identical for every thread count and chunking.
+  /// Degraded columns (set_angle_decimation) are always computed on the
+  /// calling thread. Not allowed after take_image().
+  std::size_t push(CSpan chunk, int num_threads = 1);
 
   /// Columns produced so far; grows by push(). Identical to
   /// core::MotionTracker(cfg).process(all samples so far, t0) whenever at
@@ -88,8 +85,6 @@ class StreamingTracker {
   [[nodiscard]] const core::MotionTracker::Config& config() const noexcept {
     return cfg_;
   }
-  /// Time step between image columns.
-  [[nodiscard]] double column_period_sec() const noexcept;
 
   /// Graceful degradation under overload: when `factor` > 1, subsequent
   /// columns evaluate the MUSIC pseudospectrum only at every factor-th
@@ -110,9 +105,10 @@ class StreamingTracker {
   /// Drop all stream and image state and start a new trace at `t0`.
   void reset(double t0 = 0.0);
 
-  /// Attach a per-stage latency observer (wivi::obs): the push() loop
-  /// records one `stft_doppler` span (the window's smoothed correlation)
-  /// and one `music` span (pseudospectrum scan) per emitted column.
+  /// Attach a per-stage latency observer (wivi::obs): push() records one
+  /// `stft_doppler` span (the window's smoothed correlation) and one
+  /// `music` span (pseudospectrum scan) per emitted column, at every
+  /// thread count.
   /// nullptr detaches. The observer must outlive the tracker and is *not* owned;
   /// it survives reset().
   void set_observer(obs::PipelineObserver* observer) noexcept {

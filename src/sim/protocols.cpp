@@ -34,9 +34,8 @@ CountingResult run_counting_trial(const CountingTrial& trial) {
   result.trace = runner.run();
   result.effective_nulling_db = result.trace.effective_nulling_db;
 
-  // One declarative pipeline: image + counting, executed batch
-  // (sequential) or column-parallel per image_threads — the same
-  // num_threads semantics the tracker config has; the image is the same.
+  // One declarative pipeline: image + counting, one batch run whose image
+  // columns are computed on image_threads cores (the same image for any).
   api::PipelineSpec spec;
   spec.image.emit_columns = false;
   spec.t0 = result.trace.t0;

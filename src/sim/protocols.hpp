@@ -26,10 +26,9 @@ struct CountingTrial {
   std::vector<int> subjects;
   double duration_sec = 25.0;
   std::uint64_t seed = 1;
-  /// Threads for the smoothed-MUSIC image build
-  /// (core::MotionTracker::Config::num_threads semantics: 1 = sequential
-  /// default; 0 / >1 = par::ParallelImageBuilder, same image). Figure
-  /// benches opt in.
+  /// Threads for the smoothed-MUSIC image build (Session::run's
+  /// num_threads: 1 = the calling thread, the default; 0 = all cores;
+  /// the same image either way). Figure benches opt in.
   int image_threads = 1;
 };
 

@@ -230,9 +230,6 @@ TraceTrackResult track_trace(CSpan h,
                              const MultiTargetTracker::Config& cfg,
                              double t0) {
   // Built through the declarative facade: one spec, image + track stages.
-  // image_cfg.num_threads keeps its historical meaning by selecting the
-  // execution mode — 1 = sequential batch, anything else = the
-  // column-parallel offline mode (same image; DESIGN.md §7).
   api::PipelineSpec spec;
   spec.image.tracker = image_cfg;
   spec.image.emit_columns = false;  // the image is read back whole below
@@ -242,7 +239,7 @@ TraceTrackResult track_trace(CSpan h,
   WIVI_REQUIRE(h.size() >=
                    static_cast<std::size_t>(image_cfg.music.isar.window),
                "channel stream shorter than one ISAR window");
-  session.run(h, image_cfg.num_threads);
+  session.run(h);
 
   TraceTrackResult out;
   out.histories = session.multi_tracker().histories();

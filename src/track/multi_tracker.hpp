@@ -221,14 +221,11 @@ struct TraceTrackResult {
 };
 
 /// Samples-to-tracks batch entry point: build the angle-time image of a
-/// recorded channel-estimate stream and track every mover in it. Set
-/// `image_cfg.num_threads` != 1 to shard the image build over a worker
-/// pool (par::ParallelImageBuilder; 0 = all cores) — the dominant cost of
-/// this call by far. The tracking pass itself stays single-threaded (it
-/// is strictly column-sequential) and is identical for every thread
-/// count.
+/// recorded channel-estimate stream and track every mover in it, on the
+/// calling thread (wivi::Session::run(h, num_threads) shards the image
+/// over cores and tracks identically).
 /// @param h  the recorded channel-estimate stream.
-/// @param image_cfg  imaging configuration (hop, grid, MUSIC, threads).
+/// @param image_cfg  imaging configuration (hop, grid, MUSIC).
 /// @param cfg  tracker configuration.
 /// @param t0  absolute time of h.front().
 /// @return the image and the track histories.

@@ -2,11 +2,12 @@
 // invariant rejects bad input through WIVI_REQUIRE, and the compiled
 // wivi::Session is *bit-identical* to the legacy entry points in every
 // execution mode — batch (core::MotionTracker / GestureDecoder /
-// spatial_variance / track_image), chunked streaming, column-parallel
-// offline (par::ParallelImageBuilder) and engine-multiplexed (rt::Engine).
+// spatial_variance / track_image), chunked streaming, any image thread
+// count (par::ParallelImageBuilder) and engine-multiplexed (rt::Engine).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -324,7 +325,7 @@ TEST(SessionStreaming, CallbackSinkSeesTheSameSequenceAsPoll) {
   expect_events_identical(poll_events, cb_events, "poll vs callback");
 }
 
-// -------------------------------------------------------- parallel parity ---
+// -------------------------------------------------- thread-count parity ---
 
 TEST(SessionParallel, BitIdenticalToTheParallelBuilder) {
   const CVec& h = crossing_trace();
@@ -335,24 +336,112 @@ TEST(SessionParallel, BitIdenticalToTheParallelBuilder) {
   spec.image.emit_columns = false;
   spec.track = api::TrackStage{};
   api::Session session(std::move(spec));
-  session.run(h, api::Parallelism{2});
+  session.run(h, 2);
 
   expect_images_identical(built, session.image(), "parallel image");
-  // The tracking pass over the adopted image equals the batch pass.
+  // The tracking pass over that image equals the batch pass.
   expect_histories_identical(track::track_image(built),
                              session.multi_tracker().histories(),
                              "parallel tracks");
 }
 
-TEST(SessionParallel, ThreadCountInvariant) {
+/// Everything a caller can observe of one run(trace, n): the event
+/// sequence, the stats (counters, and which stages recorded how many
+/// spans), the fault-hook calls and the degraded-column count.
+struct RunRecord {
+  std::vector<api::Event> events;
+  api::PipelineStats stats;
+  std::vector<std::size_t> hook_calls;
+  std::size_t degraded = 0;
+  bool rejected = false;
+};
+
+RunRecord run_with_threads(CSpan trace, int threads, int fidelity = 1) {
+  RunRecord r;
+  api::Session session(full_spec());
+  session.set_fault_hook([&r](std::size_t i) { r.hook_calls.push_back(i); });
+  session.set_fidelity(fidelity);
+  try {
+    session.run(trace, threads);
+  } catch (const TypedError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidChunk);
+    EXPECT_FALSE(session.failed()) << "a rejected trace must not poison";
+    r.rejected = true;
+  }
+  session.poll(r.events);
+  r.stats = session.stats();
+  r.degraded = session.tracker().degraded_columns();
+  return r;
+}
+
+void expect_runs_identical(const RunRecord& a, const RunRecord& b,
+                           const char* label) {
+  expect_events_identical(a.events, b.events, label);
+  EXPECT_EQ(a.stats.chunks_in, b.stats.chunks_in) << label;
+  EXPECT_EQ(a.stats.chunks_rejected, b.stats.chunks_rejected) << label;
+  EXPECT_EQ(a.stats.samples_seen, b.stats.samples_seen) << label;
+  EXPECT_EQ(a.stats.columns_seen, b.stats.columns_seen) << label;
+  EXPECT_EQ(a.stats.bits_emitted, b.stats.bits_emitted) << label;
+  EXPECT_EQ(a.stats.events_emitted, b.stats.events_emitted) << label;
+  ASSERT_EQ(a.stats.stages.size(), b.stats.stages.size()) << label;
+  for (std::size_t i = 0; i < a.stats.stages.size(); ++i) {
+    EXPECT_STREQ(a.stats.stages[i].stage, b.stats.stages[i].stage) << label;
+    EXPECT_EQ(a.stats.stages[i].latency.count,
+              b.stats.stages[i].latency.count)
+        << label << " stage " << a.stats.stages[i].stage;
+  }
+  EXPECT_EQ(a.hook_calls, b.hook_calls) << label;
+  EXPECT_EQ(a.degraded, b.degraded) << label;
+  EXPECT_EQ(a.rejected, b.rejected) << label;
+}
+
+TEST(SessionParallel, EveryThreadCountIsTheSameRun) {
+  // run(trace, n) is guard + push + finish at every n: the thread count
+  // only decides which cores compute the image columns.
   const CVec& h = crossing_trace();
-  api::PipelineSpec spec;
-  spec.image.emit_columns = false;
-  api::Session one(spec);
-  one.run(h, api::Parallelism{1});
-  api::Session three(spec);
-  three.run(h, api::Parallelism{3});
-  expect_images_identical(one.image(), three.image(), "1 vs 3 threads");
+  CVec bad = h;
+  bad[700] = cdouble(std::numeric_limits<double>::quiet_NaN(), 0.0);
+
+  const RunRecord one = run_with_threads(h, 1);
+  ASSERT_EQ(one.hook_calls, std::vector<std::size_t>{0});
+  ASSERT_GT(one.stats.columns_seen,
+            3 * par::ParallelImageBuilder::kColumnsPerBlock);
+  const RunRecord one_degraded = run_with_threads(h, 1, 4);
+  EXPECT_EQ(one_degraded.degraded, one_degraded.stats.columns_seen);
+  const RunRecord one_bad = run_with_threads(bad, 1);
+  EXPECT_TRUE(one_bad.rejected);
+  EXPECT_EQ(one_bad.stats.chunks_rejected, 1u);
+  EXPECT_EQ(one_bad.stats.chunks_in, 0u);
+  EXPECT_TRUE(one_bad.hook_calls.empty());
+
+  for (const int n : {2, 3, 0}) {
+    const std::string label = "threads=" + std::to_string(n);
+    expect_runs_identical(one, run_with_threads(h, n), label.c_str());
+    expect_runs_identical(one_degraded, run_with_threads(h, n, 4),
+                          (label + " fidelity=4").c_str());
+    expect_runs_identical(one_bad, run_with_threads(bad, n),
+                          (label + " non-finite").c_str());
+  }
+}
+
+TEST(SessionParallel, MultiThreadedRunContinuesAPushedStream) {
+  // run(rest, n) on a session that already holds a partial window: the
+  // first parallel columns straddle the buffered samples and the trace.
+  const CVec& h = crossing_trace();
+  api::Session whole(full_spec());
+  whole.push(h);
+  whole.finish();
+
+  api::Session split(full_spec());
+  split.push(CSpan(h).subspan(0, 128));
+  split.run(CSpan(h).subspan(128), 3);
+
+  expect_images_identical(whole.image(), split.image(), "128 + run(rest, 3)");
+  expect_histories_identical(whole.multi_tracker().histories(),
+                             split.multi_tracker().histories(),
+                             "128 + run(rest, 3)");
+  EXPECT_EQ(split.spatial_variance(), whole.spatial_variance());
+  EXPECT_EQ(split.samples_seen(), h.size());
 }
 
 // ----------------------------------------------------- engine multiplexed ---
@@ -399,14 +488,14 @@ TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
   engine.close_session(id2);
   engine.drain();
 
-  expect_images_identical(standalone.image(), engine.tracker(id).image(),
+  expect_images_identical(standalone.image(), engine.pipeline(id).image(),
                           "engine image");
   expect_histories_identical(standalone.multi_tracker().histories(),
                              engine.multi_tracker(id).histories(),
                              "engine tracks");
   EXPECT_EQ(engine.pipeline(id).spatial_variance(),
             standalone.spatial_variance());
-  expect_images_identical(standalone2.image(), engine.tracker(id2).image(),
+  expect_images_identical(standalone2.image(), engine.pipeline(id2).image(),
                           "second engine image");
 
   // Filtered on its session tag, each engine stream is exactly its
@@ -425,20 +514,30 @@ TEST(EngineFacadeParity, MultiplexedEqualsStandaloneSession) {
 }
 
 TEST(EngineFacadeParity, RunRecordedEqualsParallelRun) {
+  // run_recorded is Session::run(trace, engine threads): the same image
+  // and the same event sequence, session tag aside.
   const CVec& h = crossing_trace();
   rt::Engine engine({.num_threads = 2});
-  api::PipelineSpec spec;
-  spec.image.emit_columns = false;
-  spec.count = api::CountStage{};
-  const rt::SessionId id = engine.run_recorded(spec, h);
+  const rt::SessionId id = engine.run_recorded(full_spec(), h);
   ASSERT_TRUE(engine.stats(id).finished);
 
-  api::Session session(spec);
-  session.run(h, api::Parallelism{engine.num_threads()});
-  expect_images_identical(session.image(), engine.tracker(id).image(),
+  api::Session session(full_spec());
+  session.run(h, engine.num_threads());
+  expect_images_identical(session.image(), engine.pipeline(id).image(),
                           "run_recorded");
   EXPECT_EQ(engine.pipeline(id).spatial_variance(),
             session.spatial_variance());
+
+  std::vector<api::Event> want;
+  session.poll(want);
+  std::vector<rt::Event> tagged;
+  engine.poll(tagged);
+  std::vector<api::Event> got;
+  for (rt::Event& e : tagged) {
+    ASSERT_EQ(e.session, id);
+    got.push_back(std::move(e.event));
+  }
+  expect_events_identical(want, got, "run_recorded events");
 }
 
 // ------------------------------------------------------- lifecycle/errors ---
@@ -469,17 +568,6 @@ TEST(SessionLifecycle, CallbackMustBeInstalledFresh) {
   api::Session session(spec);
   session.push(CSpan(h).subspan(0, 128));
   EXPECT_THROW(session.set_callback([](api::Event&&) {}), InvalidArgument);
-}
-
-TEST(SessionLifecycle, ParallelRunRequiresAFreshSession) {
-  const CVec& h = crossing_trace();
-  api::PipelineSpec spec;
-  api::Session session(spec);
-  session.push(CSpan(h).subspan(0, 128));
-  EXPECT_THROW(session.run(h, api::Parallelism{1}), InvalidArgument);
-  // A precondition slip is not a stage failure: the session stays usable.
-  EXPECT_FALSE(session.failed());
-  EXPECT_NO_THROW(session.push(CSpan(h).subspan(128, 128)));
 }
 
 TEST(SessionLifecycle, TakeAccessorsMoveResultsOutOfAFinishedSession) {

@@ -302,17 +302,19 @@ TEST(InputGuard, CheckFiniteOffAdmitsNonFiniteAndRecordedRunsAreGuarded) {
   odd[3] = cdouble(std::numeric_limits<double>::quiet_NaN(), 0.0);
   EXPECT_NO_THROW(session.push(odd));
 
-  // The parallel-offline entry point shares the same trust boundary.
+  // A multi-threaded batch run is a push like any other: same boundary.
   api::Session parallel(guarded_spec());
   CVec bad = sim::synthetic_mover_trace(1024, 5, 0.4);
   bad[700] = cdouble(0.0, std::numeric_limits<double>::infinity());
   try {
-    parallel.run(bad, api::Parallelism{2});
+    parallel.run(bad, 2);
     FAIL() << "non-finite recorded trace was accepted";
   } catch (const TypedError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidChunk);
   }
   EXPECT_FALSE(parallel.failed()) << "a rejected trace must not poison";
+  EXPECT_EQ(parallel.stats().chunks_rejected, 1u);
+  EXPECT_EQ(parallel.stats().chunks_in, 0u);
 }
 
 // ------------------------------------------------------- multi-session chaos ---
@@ -423,7 +425,7 @@ TEST(Chaos, EightSessionsFaultedSessionsDieTypedCleanSessionsBitIdentical) {
   for (std::size_t s = 0; s < 4; ++s) {
     api::Session reference(spec);
     reference.run(traces[s]);
-    const auto& img = engine.tracker(ids[s]).image();
+    const auto& img = engine.pipeline(ids[s]).image();
     ASSERT_EQ(img.num_times(), reference.image().num_times()) << s;
     EXPECT_EQ(img.columns, reference.image().columns) << s;
     EXPECT_EQ(engine.pipeline(ids[s]).spatial_variance(),

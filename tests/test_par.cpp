@@ -128,17 +128,23 @@ TEST(ThreadPool, RejectsNestedParallelFor) {
 
 TEST(ParallelImageBuilder, BitIdenticalAcrossThreadCounts1To8) {
   // The acceptance-criterion sweep: one trace, eight thread counts, all
-  // images equal double for double. Long enough for several blocks so the
-  // partition actually fans out.
+  // images equal double for double — from the builder and from a
+  // Session::run at that thread count. Long enough for several blocks so
+  // the partition actually fans out.
   const CVec h = make_trace(2000);
   const core::MotionTracker::Config cfg;
   const par::ParallelImageBuilder reference(cfg, 1);
   const core::AngleTimeImage ref = reference.build(h, 0.25);
   EXPECT_GT(ref.num_times(),
             par::ParallelImageBuilder::kColumnsPerBlock * 3);
-  for (int threads = 2; threads <= 8; ++threads) {
+  api::PipelineSpec spec;
+  spec.t0 = 0.25;
+  for (int threads = 1; threads <= 8; ++threads) {
     const par::ParallelImageBuilder builder(cfg, threads);
     expect_images_bit_identical(ref, builder.build(h, 0.25));
+    api::Session session(spec);
+    session.run(h, threads);
+    expect_images_bit_identical(ref, session.image());
   }
 }
 
@@ -158,7 +164,7 @@ TEST(ParallelImageBuilder, MatchesSequentialStreamingPathBitForBit) {
   // compaction) — against four workers: same columns, model orders and
   // time stamps, double for double.
   const CVec h = make_trace(6000);
-  const core::MotionTracker tracker;  // num_threads = 1
+  const core::MotionTracker tracker;
   const core::AngleTimeImage p =
       par::ParallelImageBuilder(tracker.config(), 4).build(h, 0.5);
   expect_images_bit_identical(tracker.process(h, 0.5), p);
@@ -167,19 +173,6 @@ TEST(ParallelImageBuilder, MatchesSequentialStreamingPathBitForBit) {
   for (std::size_t pos = 0; pos < h.size(); pos += 37)
     streaming.push(CSpan(h).subspan(pos, std::min<std::size_t>(37, h.size() - pos)));
   expect_images_bit_identical(streaming.image(), p);
-}
-
-TEST(ParallelImageBuilder, MotionTrackerNumThreadsRoutesToBuilder) {
-  const CVec h = make_trace(900);
-  core::MotionTracker::Config cfg;
-  cfg.num_threads = 3;
-  const core::AngleTimeImage via_tracker = core::MotionTracker(cfg).process(h);
-  expect_images_bit_identical(
-      via_tracker, par::ParallelImageBuilder(cfg, 3).build(h));
-  // And thread-count invariance holds through the tracker API too.
-  cfg.num_threads = 5;
-  expect_images_bit_identical(via_tracker,
-                              core::MotionTracker(cfg).process(h));
 }
 
 TEST(ParallelImageBuilder, ShortTraceSingleBlockStillWorks) {
@@ -204,10 +197,10 @@ TEST(ParallelImageBuilder, RejectsTooShortStream) {
 
 TEST(TrackTrace, MatchesManualImageThenTrack) {
   const CVec h = sim::synthetic_crossing_trace(6.0, 17);
-  core::MotionTracker::Config icfg;
-  icfg.num_threads = 4;
+  const core::MotionTracker::Config icfg;
   const track::TraceTrackResult got = track::track_trace(h, icfg);
-  const core::AngleTimeImage img = core::MotionTracker(icfg).process(h);
+  const core::AngleTimeImage img =
+      par::ParallelImageBuilder(icfg, 4).build(h);
   expect_images_bit_identical(img, got.image);
   const auto want = track::track_image(img);
   ASSERT_EQ(want.size(), got.histories.size());
@@ -236,8 +229,8 @@ TEST(RunRecorded, MatchesBuilderOutputAndDeliversFullEventStream) {
   const core::AngleTimeImage want =
       par::ParallelImageBuilder(spec.image.tracker, ec.num_threads)
           .build(h, spec.t0);
-  expect_images_bit_identical(want, engine.tracker(id).image());
-  EXPECT_EQ(engine.tracker(id).samples_seen(), h.size());
+  expect_images_bit_identical(want, engine.pipeline(id).image());
+  EXPECT_EQ(engine.pipeline(id).samples_seen(), h.size());
   EXPECT_EQ(engine.stats(id).columns_out, want.num_times());
 
   // Events: every column once in order, one CountEvent, then a
@@ -308,7 +301,7 @@ TEST(RunRecorded, ColumnsEqualAPushedSessionBitForBit) {
         << "column " << i;
     ASSERT_EQ(got_cols[i]->column, want_cols[i]->column) << "column " << i;
   }
-  expect_images_bit_identical(pushed.image(), engine.tracker(id).image());
+  expect_images_bit_identical(pushed.image(), engine.pipeline(id).image());
 }
 
 TEST(RunRecorded, TrackTargetsSessionMatchesBatchTrackImage) {

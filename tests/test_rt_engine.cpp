@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/random.hpp"
 #include "src/sim/synthetic.hpp"
 #include "src/core/tracker.hpp"
@@ -90,7 +92,7 @@ std::vector<core::AngleTimeImage> run_engine(
   std::vector<core::AngleTimeImage> images;
   for (rt::SessionId id : ids) {
     EXPECT_TRUE(engine.stats(id).finished);
-    images.push_back(engine.tracker(id).image());
+    images.push_back(engine.pipeline(id).image());
   }
   return images;
 }
@@ -126,7 +128,7 @@ TEST(Engine, MatchesBatchPipelineThroughOneSession) {
   engine.close_session(id);
   engine.drain();
 
-  expect_images_identical(batch, engine.tracker(id).image());
+  expect_images_identical(batch, engine.pipeline(id).image());
 
   // The event stream carries every column exactly once, in order, plus a
   // final FinishedEvent with the batch spatial variance.
@@ -214,14 +216,14 @@ TEST(Engine, ConcurrentProducersStress) {
     const auto st = engine.stats(ids[s]);
     EXPECT_TRUE(st.finished);
     // Conservation: every offered sample was either processed or dropped.
-    EXPECT_EQ(engine.tracker(ids[s]).samples_seen(),
+    EXPECT_EQ(engine.pipeline(ids[s]).samples_seen(),
               st.samples_in - st.samples_dropped);
     if (s >= 2) {
       EXPECT_EQ(st.samples_dropped, 0u) << "kBlock must not drop";
     }
     // Processed samples produce exactly the batch column count.
-    const std::size_t n = engine.tracker(ids[s]).samples_seen();
-    const auto& cfg = engine.tracker(ids[s]).config();
+    const std::size_t n = engine.pipeline(ids[s]).samples_seen();
+    const auto& cfg = engine.pipeline(ids[s]).tracker().config();
     const auto w = static_cast<std::size_t>(cfg.music.isar.window);
     const std::size_t expect_cols =
         n >= w ? (n - w) / static_cast<std::size_t>(cfg.hop) + 1 : 0;
@@ -315,7 +317,7 @@ TEST(Engine, ThrowingCallbackFailsOnlyItsSession) {
 
   const core::MotionTracker tracker;
   expect_images_identical(tracker.process(traces[1], 0.0),
-                          engine.tracker(ids[1]).image());
+                          engine.pipeline(ids[1]).image());
   std::lock_guard lk(mu);
   for (const rt::Event& e : good_events) EXPECT_EQ(e.session, ids[1]);
   EXPECT_TRUE(
@@ -395,6 +397,54 @@ TEST(Engine, RejectsMisuse) {
   EXPECT_THROW((void)engine.offer(id, CVec(10)), std::exception);
   engine.drain();
   EXPECT_TRUE(engine.stats(id).finished);
+}
+
+/// samples_in == processed + dropped + rejected + lost, engine-wide.
+void expect_samples_conserved(const rt::Engine& engine) {
+  const rt::Engine::EngineStats st = engine.stats();
+  EXPECT_EQ(st.samples_in, st.samples_processed + st.samples_dropped +
+                               st.samples_rejected + st.samples_lost);
+}
+
+TEST(RunRecorded, RejectedTraceIsCountedAndTerminal) {
+  rt::Engine engine({.num_threads = 2});
+  CVec bad = sim::synthetic_mover_trace(1024, 5, 0.4);
+  bad[700] = cdouble(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  const rt::SessionId id = engine.run_recorded(count_spec(), bad);
+
+  const rt::SessionStats ss = engine.stats(id);
+  EXPECT_TRUE(ss.finished);
+  EXPECT_EQ(ss.chunks_rejected, 1u);
+  EXPECT_EQ(ss.samples_rejected, bad.size());
+  const rt::Engine::EngineStats st = engine.stats();
+  EXPECT_EQ(st.samples_in, bad.size());
+  EXPECT_EQ(st.chunks_rejected, 1u);
+  EXPECT_EQ(st.samples_rejected, bad.size());
+  expect_samples_conserved(engine);
+
+  // The one event is the terminal ErrorEvent{kInvalidChunk}.
+  std::vector<rt::Event> events;
+  engine.poll(events);
+  ASSERT_EQ(events.size(), 1u);
+  const auto* err = std::get_if<api::ErrorEvent>(&events[0].event);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, ErrorCode::kInvalidChunk);
+}
+
+TEST(RunRecorded, FailedTraceCountsItsSamplesAsLost) {
+  // A sink that throws on the first column kills the trace mid-push.
+  rt::Engine engine({.num_threads = 2});
+  engine.set_callback([](rt::Event&& e) {
+    if (std::holds_alternative<api::ColumnEvent>(e.event))
+      throw std::runtime_error("sink down");
+  });
+  const CVec h = sim::synthetic_mover_trace(1024, 6, 0.4);
+  const rt::SessionId id = engine.run_recorded(count_spec(), h);
+  EXPECT_TRUE(engine.stats(id).finished);
+  EXPECT_TRUE(engine.pipeline(id).failed());
+  EXPECT_EQ(engine.pipeline(id).error_code(), ErrorCode::kSinkFailure);
+  EXPECT_EQ(engine.stats().samples_lost, h.size());
+  expect_samples_conserved(engine);
 }
 
 }  // namespace

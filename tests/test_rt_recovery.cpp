@@ -138,7 +138,7 @@ TEST(Watchdog, AdvisoryStallIsOneShotAndTheSessionFinishesHealthy) {
   // uninterrupted standalone run over the same trace.
   api::Session reference(count_spec());
   reference.run(trace);
-  EXPECT_EQ(engine.tracker(id).image().columns, reference.image().columns);
+  EXPECT_EQ(engine.pipeline(id).image().columns, reference.image().columns);
   EXPECT_EQ(engine.pipeline(id).spatial_variance(),
             reference.spatial_variance());
 }
@@ -273,7 +273,7 @@ TEST(InputRejection, MalformedChunkIsCountedAndDoesNotPerturbTheStream) {
   // The rejected chunk was a pure no-op on the pipeline.
   api::Session reference(count_spec());
   reference.run(trace);
-  EXPECT_EQ(engine.tracker(id).image().columns, reference.image().columns);
+  EXPECT_EQ(engine.pipeline(id).image().columns, reference.image().columns);
   EXPECT_EQ(engine.pipeline(id).spatial_variance(),
             reference.spatial_variance());
 }

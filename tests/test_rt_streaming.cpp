@@ -75,6 +75,48 @@ TEST(StreamingTracker, BitForBitParityAcrossChunkSizes) {
   }
 }
 
+TEST(StreamingTracker, ThreadCountNeverChangesABit) {
+  // push(chunk, n) shards the columns a chunk completes over n workers.
+  // Whole-trace pushes read the chunk in place; smaller chunks mix the
+  // in-place and buffered paths (a parallel block then starts mid-buffer),
+  // and alternating thread counts hand the stream between the two loops.
+  const CVec h = sim::synthetic_mover_trace(3000);
+  const double t0 = 0.5;
+  for (const int hop : {25, 130}) {
+    core::MotionTracker::Config cfg;
+    cfg.hop = hop;
+    const core::AngleTimeImage batch = core::MotionTracker(cfg).process(h, t0);
+    for (const int threads : {0, 2, 3, 8}) {
+      for (const std::size_t chunk :
+           {std::size_t{137}, std::size_t{1000}, h.size()}) {
+        rt::StreamingTracker streaming(cfg, t0);
+        std::size_t emitted = 0;
+        for (std::size_t pos = 0, i = 0; pos < h.size(); pos += chunk, ++i) {
+          const std::size_t len = std::min(chunk, h.size() - pos);
+          emitted +=
+              streaming.push(CSpan(h).subspan(pos, len), i % 2 ? 1 : threads);
+        }
+        EXPECT_EQ(emitted, batch.num_times());
+        EXPECT_EQ(streaming.samples_seen(), h.size());
+        const std::string label = "hop=" + std::to_string(hop) +
+                                  " threads=" + std::to_string(threads) +
+                                  " chunk=" + std::to_string(chunk);
+        expect_images_identical(batch, streaming.image(), label.c_str());
+      }
+    }
+  }
+}
+
+TEST(StreamingTracker, RejectsABadThreadCountAndPushAfterTakeImage) {
+  const CVec h = sim::synthetic_mover_trace(500);
+  rt::StreamingTracker streaming;
+  EXPECT_THROW(streaming.push(h, -1), InvalidArgument);
+  EXPECT_EQ(streaming.samples_seen(), 0u);  // rejected before any state
+  streaming.push(h);
+  (void)streaming.take_image();
+  EXPECT_THROW(streaming.push(h), InvalidArgument);
+}
+
 TEST(StreamingTracker, ResetStartsAFreshTrace) {
   const CVec h = sim::synthetic_mover_trace(500);
   rt::StreamingTracker streaming;
@@ -102,68 +144,6 @@ TEST(StreamingCounter, RunningVarianceMatchesBatch) {
   }
   EXPECT_EQ(counter.columns_seen(), batch.num_times());
   EXPECT_EQ(counter.variance(), batch_variance) << "not bit-for-bit";
-}
-
-// adopt() preconditions are enforced, not doc-comments: a non-fresh
-// tracker or a shape-mismatched / internally inconsistent image throws
-// InvalidArgument instead of silently corrupting the stream state.
-
-TEST(StreamingTrackerAdopt, AcceptsAMatchingImage) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  const core::MotionTracker tracker;
-  rt::StreamingTracker streaming;
-  streaming.adopt(h, tracker.process(h, 0.0));
-  EXPECT_EQ(streaming.samples_seen(), h.size());
-  EXPECT_EQ(streaming.num_columns(), tracker.process(h, 0.0).num_times());
-}
-
-TEST(StreamingTrackerAdopt, RejectsANonFreshTracker) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  core::AngleTimeImage img = core::MotionTracker().process(h, 0.0);
-  rt::StreamingTracker streaming;
-  streaming.push(CSpan(h).subspan(0, 10));  // no column yet, but not fresh
-  EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-}
-
-TEST(StreamingTrackerAdopt, RejectsAWrongColumnCount) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  core::AngleTimeImage img =
-      core::MotionTracker().process(CSpan(h).subspan(0, 400), 0.0);
-  rt::StreamingTracker streaming;
-  EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-}
-
-TEST(StreamingTrackerAdopt, RejectsADifferentAngleGrid) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  core::MotionTracker::Config coarse;
-  coarse.angle_step_deg = 2.0;
-  core::AngleTimeImage img = core::MotionTracker(coarse).process(h, 0.0);
-  rt::StreamingTracker streaming;  // default 1-degree grid
-  EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-}
-
-TEST(StreamingTrackerAdopt, RejectsAlteredAngleValues) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  core::AngleTimeImage img = core::MotionTracker().process(h, 0.0);
-  img.angles_deg.front() += 0.25;  // same size, different grid
-  rt::StreamingTracker streaming;
-  EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-}
-
-TEST(StreamingTrackerAdopt, RejectsAnInternallyInconsistentImage) {
-  const CVec h = sim::synthetic_mover_trace(600);
-  {
-    core::AngleTimeImage img = core::MotionTracker().process(h, 0.0);
-    img.times_sec.pop_back();  // times no longer cover every column
-    rt::StreamingTracker streaming;
-    EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-  }
-  {
-    core::AngleTimeImage img = core::MotionTracker().process(h, 0.0);
-    img.columns.back().pop_back();  // one column of the wrong height
-    rt::StreamingTracker streaming;
-    EXPECT_THROW(streaming.adopt(h, std::move(img)), InvalidArgument);
-  }
 }
 
 /// Gesture parity runs on a real simulated gesture trial (the §7.5 setup,
