@@ -11,7 +11,7 @@
 //    must cost nothing measurable next to actual signal processing, so
 //    chaos-mode runs measure the faults, not the harness.
 //
-// CI runs this as a smoke check; BENCH_fault.json holds a reference run.
+// CI runs this as a smoke check (no timing gate).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

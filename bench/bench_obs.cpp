@@ -1,7 +1,7 @@
 // Observability-overhead microbenchmarks: the wivi::obs instrumentation is
 // always-on by default, so its hot-path cost must stay within 1% of the
-// uninstrumented pipeline (the DESIGN.md §10 overhead budget; BENCH_obs.json
-// pins the ratio in CI).
+// uninstrumented pipeline (the DESIGN.md §10 overhead budget). CI only
+// smoke-runs it; judge the ratio from interleaved runs on one machine.
 //
 // BM_SessionPushObsOff / BM_SessionPushObsOn / BM_SessionPushObsTrace run
 // the identical workload — same synthetic trace, same chunking, a fresh

@@ -129,7 +129,7 @@ BENCHMARK(BM_NullingProcedure)->Unit(benchmark::kMillisecond);
 // `--threads=N`) flag before google-benchmark sees argv and registers one
 // extra BM_ParallelImageBuild point at exactly N threads. CI runs
 //   bench_perf --threads 4 --benchmark_format=json
-// to produce BENCH_parallel.json.
+// in the parallel-4thread job to record the 4-thread scaling point.
 int main(int argc, char** argv) {
   int threads = 0;
   int out = 1;

@@ -3,7 +3,7 @@
 // session throughput from 1 worker thread up to the machine's core count.
 // Sessions outnumber workers, so on a multi-core box the curve should be
 // near-linear until threads reach the core count (the CI acceptance bar:
-// >= 3x at 4 threads vs 1). `BENCH_rt.json` is the committed snapshot.
+// >= 3x at 4 threads vs 1). On a single-core machine the curve is flat.
 //
 //   ./bench_rt --benchmark_format=json
 #include <benchmark/benchmark.h>

@@ -35,18 +35,15 @@
 
 // ------------------------------------------------------- linalg + dsp -----
 #include "src/dsp/fft.hpp"
-#include "src/dsp/fir.hpp"
 #include "src/dsp/matched_filter.hpp"
 #include "src/dsp/peaks.hpp"
 #include "src/dsp/stats.hpp"
 #include "src/dsp/window.hpp"
-#include "src/linalg/cholesky.hpp"
 #include "src/linalg/cmatrix.hpp"
 #include "src/linalg/eig.hpp"
 
 // ------------------------------------- core: the paper's algorithms -------
 #include "src/core/counting.hpp"
-#include "src/core/doa.hpp"
 #include "src/core/doppler.hpp"
 #include "src/core/gesture.hpp"
 #include "src/core/isar.hpp"
@@ -114,4 +111,3 @@
 #include "src/net/receiver.hpp"
 #include "src/net/sender.hpp"
 #include "src/net/wire_fault.hpp"
-#include "src/sim/netfeed.hpp"

@@ -176,10 +176,6 @@ class Session {
   [[nodiscard]] std::size_t bits_emitted() const noexcept {
     return bits_emitted_;
   }
-  /// Time step between image columns.
-  [[nodiscard]] double column_period_sec() const noexcept {
-    return spec_.image.tracker.column_period_sec();
-  }
 
   /// Point-in-time telemetry: cumulative counters plus per-stage latency
   /// summaries (nanoseconds). p50/p99 are non-zero for any stage that ran

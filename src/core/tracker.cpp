@@ -34,27 +34,9 @@ void AngleTimeImage::column_db_into(std::size_t t, RVec& out,
   }
 }
 
-double AngleTimeImage::global_min() const {
-  double lo = std::numeric_limits<double>::infinity();
-  for (const RVec& col : columns)
-    lo = std::min(lo, *std::min_element(col.begin(), col.end()));
-  return lo;
-}
-
-double AngleTimeImage::global_max() const {
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const RVec& col : columns)
-    hi = std::max(hi, *std::max_element(col.begin(), col.end()));
-  return hi;
-}
-
 void MotionTracker::Config::validate() const {
   WIVI_REQUIRE(hop >= 1, "hop must be >= 1");
   WIVI_REQUIRE(angle_step_deg > 0.0, "angle step must be positive");
-}
-
-double MotionTracker::Config::column_period_sec() const noexcept {
-  return static_cast<double>(hop) * music.isar.sample_period_sec;
 }
 
 std::size_t MotionTracker::Config::columns_in(

@@ -31,11 +31,6 @@ struct AngleTimeImage {
   /// Same, into a caller-owned buffer (no allocation on repeated calls of
   /// one shape) — the per-column hot path for counting and tracking.
   void column_db_into(std::size_t t, RVec& out, double cap_db = 60.0) const;
-
-  /// Global minimum over all columns (linear).
-  [[nodiscard]] double global_min() const;
-  /// Global maximum over all columns (linear).
-  [[nodiscard]] double global_max() const;
 };
 
 /// Runs smoothed MUSIC over a sliding window of the channel-estimate
@@ -56,8 +51,6 @@ class MotionTracker {
     /// Throw InvalidArgument unless hop >= 1 and angle_step_deg > 0 (the
     /// check every image-stage constructor runs).
     void validate() const;
-    /// Time step between image columns.
-    [[nodiscard]] double column_period_sec() const noexcept;
     /// Image columns completed by the first `samples` samples of a stream.
     [[nodiscard]] std::size_t columns_in(std::size_t samples) const noexcept;
     /// Time stamp of column `c` of a stream whose first sample is at `t0`:

@@ -1,6 +1,5 @@
 #include "src/net/capture.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "src/common/error.hpp"
@@ -41,10 +40,8 @@ constexpr std::size_t kRecordHeaderSize = 12;
 
 }  // namespace
 
-CaptureWriter::CaptureWriter(const std::string& path, Config cfg)
-    : cfg_(cfg),
-      out_(path, std::ios::binary | std::ios::trunc),
-      ring_(cfg.ring_capacity) {
+CaptureWriter::CaptureWriter(const std::string& path)
+    : out_(path, std::ios::binary | std::ios::trunc) {
   if (!out_)
     throw TypedError(ErrorCode::kIoError,
                      "capture: cannot open for writing: " + path);
@@ -53,69 +50,32 @@ CaptureWriter::CaptureWriter(const std::string& path, Config cfg)
   store_u16(hdr + 4, kCaptureVersion);
   store_u16(hdr + 6, 0);  // reserved
   out_.write(reinterpret_cast<const char*>(hdr), kFileHeaderSize);
-  if (!cfg_.synchronous) writer_ = std::thread([this] { writer_loop(); });
 }
-
-CaptureWriter::CaptureWriter(const std::string& path)
-    : CaptureWriter(path, Config()) {}
 
 CaptureWriter::~CaptureWriter() { close(); }
 
 void CaptureWriter::append(std::int64_t arrival_ns,
                            std::span<const std::byte> frame) {
   if (closed_.load(std::memory_order_acquire)) return;
-  CaptureRecord rec{arrival_ns,
-                    std::vector<std::byte>(frame.begin(), frame.end())};
-  if (cfg_.synchronous) {
-    write_record(rec);
-    records_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (ring_.try_push(std::move(rec)))
-    records_.fetch_add(1, std::memory_order_relaxed);
-  else
-    drops_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CaptureWriter::write_record(const CaptureRecord& rec) {
   std::byte hdr[kRecordHeaderSize];
-  store_u64(hdr, static_cast<std::uint64_t>(rec.arrival_ns));
-  store_u32(hdr + 8, static_cast<std::uint32_t>(rec.frame.size()));
+  store_u64(hdr, static_cast<std::uint64_t>(arrival_ns));
+  store_u32(hdr + 8, static_cast<std::uint32_t>(frame.size()));
   out_.write(reinterpret_cast<const char*>(hdr), kRecordHeaderSize);
-  if (!rec.frame.empty())
-    out_.write(reinterpret_cast<const char*>(rec.frame.data()),
-               static_cast<std::streamsize>(rec.frame.size()));
-  bytes_.fetch_add(rec.frame.size(), std::memory_order_relaxed);
-}
-
-void CaptureWriter::writer_loop() {
-  CaptureRecord rec;
-  for (;;) {
-    if (ring_.try_pop(rec)) {
-      write_record(rec);
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) {
-      while (ring_.try_pop(rec)) write_record(rec);  // final drain
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  if (!frame.empty())
+    out_.write(reinterpret_cast<const char*>(frame.data()),
+               static_cast<std::streamsize>(frame.size()));
+  records_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
 }
 
 void CaptureWriter::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  if (writer_.joinable()) writer_.join();
   out_.flush();
   out_.close();
 }
 
 std::uint64_t CaptureWriter::records() const noexcept {
   return records_.load(std::memory_order_relaxed);
-}
-std::uint64_t CaptureWriter::drops() const noexcept {
-  return drops_.load(std::memory_order_relaxed);
 }
 std::uint64_t CaptureWriter::bytes() const noexcept {
   return bytes_.load(std::memory_order_relaxed);

@@ -18,26 +18,23 @@
 /// version exists, and replay needs no re-encoding step that could drift
 /// from the live bytes.
 ///
-/// Writer threading (the pdump-writer idiom): the hot path (the
-/// receiver's I/O thread) only copies the frame into a lock-free SPSC
-/// ring; a dedicated writer thread drains the ring to buffered file
-/// writes. A full ring *drops the record and counts it* — capture is a
-/// diagnostic tap and must never apply backpressure to live ingest. For
-/// deterministic tests and tools a synchronous mode writes inline.
+/// The writer appends each record inline, on the caller's thread (the
+/// receiver's I/O thread when it is the Receiver's capture tap), through a
+/// buffered std::ofstream: nothing is queued, so nothing can drop, and a
+/// capture holds every accepted frame in arrival order.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/net/frame.hpp"
 #include "src/net/reassembler.hpp"
-#include "src/rt/spsc_ring.hpp"
 
 namespace wivi::net {
 
@@ -55,57 +52,34 @@ struct CaptureRecord {
   std::vector<std::byte> frame;  ///< the frame exactly as received
 };
 
-/// Ring-drained (or synchronous) capture-file writer.
+/// Capture-file writer: each append() writes its record before returning.
 class CaptureWriter {
  public:
-  /// Writer configuration.
-  struct Config {
-    /// Records buffered between the hot path and the writer thread.
-    std::size_t ring_capacity = 1024;
-    /// Write inline on append() instead of via the writer thread —
-    /// deterministic (nothing can drop) and test/tool friendly.
-    bool synchronous = false;
-  };
-
   /// Open `path` for writing and emit the file header. Throws
   /// TypedError{kIoError} when the file cannot be opened.
-  explicit CaptureWriter(const std::string& path, Config cfg);
-  /// Same, with the default Config.
   explicit CaptureWriter(const std::string& path);
-  /// Flushes, stops the writer thread and closes the file.
+  /// Flushes and closes the file.
   ~CaptureWriter();
 
   CaptureWriter(const CaptureWriter&) = delete;             ///< Non-copyable.
   CaptureWriter& operator=(const CaptureWriter&) = delete;  ///< Non-copyable.
 
-  /// Append one accepted frame (hot path: one copy into the ring; a full
-  /// ring drops the record and advances drops()). In synchronous mode the
-  /// record is written before returning.
+  /// Append one accepted frame (ignored once closed).
   void append(std::int64_t arrival_ns, std::span<const std::byte> frame);
 
-  /// Drain everything queued so far, stop accepting records and close the
-  /// file (idempotent; the destructor calls it).
+  /// Stop accepting records, flush and close the file (idempotent; the
+  /// destructor calls it).
   void close();
 
-  /// Records accepted into the capture so far.
+  /// Records written to the capture so far.
   [[nodiscard]] std::uint64_t records() const noexcept;
-  /// Records lost to a full ring (the price of never blocking ingest).
-  [[nodiscard]] std::uint64_t drops() const noexcept;
-  /// Frame bytes written so far (excluding headers), exact once closed.
+  /// Frame bytes written so far (excluding headers).
   [[nodiscard]] std::uint64_t bytes() const noexcept;
 
  private:
-  void writer_loop();
-  void write_record(const CaptureRecord& rec);
-
-  Config cfg_;
   std::ofstream out_;
-  rt::SpscRing<CaptureRecord> ring_;
-  std::thread writer_;
-  std::atomic<bool> stop_{false};
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> records_{0};
-  std::atomic<std::uint64_t> drops_{0};
   std::atomic<std::uint64_t> bytes_{0};
 };
 

@@ -2,11 +2,12 @@
 /// The frame producer side of the wire: chunks → frames → UDP datagrams
 /// or a TCP byte stream.
 ///
-/// Sender is the client half of the loopback ingress path (the tests' and
-/// sim::NetFeeder's stand-in for a sensor host): it slices sample chunks
-/// into wire frames with chunk_to_frames, tracks one chunk_seq per
-/// sensor, and writes each frame to the socket — one datagram per frame
-/// over UDP, frames laid back to back over TCP. An optional FaultyWire
+/// Sender is the client half of the loopback ingress path (the stand-in
+/// for a sensor host in the tests, bench_net, wivi_capture and
+/// wirebench): it slices sample chunks into wire frames with
+/// chunk_to_frames, tracks one chunk_seq per sensor, and writes each
+/// frame to the socket — one datagram per frame over UDP, frames laid
+/// back to back over TCP. An optional FaultyWire
 /// sits between encoding and the socket so the chaos suites can perturb
 /// the byte stream deterministically without touching the transport.
 #pragma once

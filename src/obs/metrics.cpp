@@ -48,9 +48,4 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-Registry& default_registry() {
-  static Registry* reg = new Registry();  // leaked: outlives static dtors
-  return *reg;
-}
-
 }  // namespace wivi::obs

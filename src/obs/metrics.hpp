@@ -127,8 +127,7 @@ class Gauge {
 /// The name-interning home of a metric set: counters, gauges and
 /// histograms registered by name, each returned as a stable reference.
 /// One Registry per subsystem that wants an exportable metric namespace
-/// (the rt::Engine owns one); default_registry() serves process-global
-/// metrics.
+/// (the rt::Engine owns one).
 ///
 /// Thread-safe: registration locks, recording through the returned
 /// references never does, snapshot() aggregates on read.
@@ -161,9 +160,6 @@ class Registry {
   std::deque<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::deque<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
 };
-
-/// The process-global registry (metrics with no narrower owner).
-[[nodiscard]] Registry& default_registry();
 
 /// @}
 

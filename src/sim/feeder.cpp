@@ -47,15 +47,4 @@ bool ChunkedTrace::next(CVec& chunk) {
   return true;
 }
 
-std::size_t ChunkedTrace::chunks_remaining() const noexcept {
-  const std::size_t left = trace_.h.size() - std::min(pos_, trace_.h.size());
-  return (left + chunk_len_ - 1) / chunk_len_;
-}
-
-double ChunkedTrace::chunk_period_sec() const noexcept {
-  return trace_.sample_rate_hz > 0.0
-             ? static_cast<double>(chunk_len_) / trace_.sample_rate_hz
-             : 0.0;
-}
-
 }  // namespace wivi::sim

@@ -33,14 +33,10 @@ class ChunkedTrace {
   [[nodiscard]] bool next(CVec& chunk);
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ >= trace_.h.size(); }
-  [[nodiscard]] std::size_t chunks_remaining() const noexcept;
   /// Chunks handed out by next() since construction / the last rewind().
   [[nodiscard]] std::size_t chunks_emitted() const noexcept {
     return emitted_;
   }
-  /// Seconds of stream one chunk covers (live pacing: one chunk arrives
-  /// every chunk_period_sec()).
-  [[nodiscard]] double chunk_period_sec() const noexcept;
 
   [[nodiscard]] const TraceResult& trace() const noexcept { return trace_; }
   [[nodiscard]] std::size_t chunk_len() const noexcept { return chunk_len_; }

@@ -104,10 +104,6 @@ rf::Trajectory random_walk(const Rect& area, double duration_sec, double dt,
   return rf::Trajectory(std::move(samples), dt);
 }
 
-rf::Trajectory stand_still(rf::Vec2 pos, double duration_sec, double dt) {
-  return rf::Trajectory::stationary(pos, duration_sec, dt);
-}
-
 rf::Trajectory gesture_trajectory(rf::Vec2 start, rf::Vec2 facing,
                                   std::span<const core::GestureStep> steps,
                                   const core::GestureProfile& profile,

@@ -78,11 +78,6 @@ struct Rect {
 [[nodiscard]] rf::Trajectory random_walk(const Rect& area, double duration_sec,
                                          double dt, double speed_mps, Rng& rng);
 
-/// Stationary subject with natural sway (breathing/posture), for the
-/// zero-moving-humans baseline.
-[[nodiscard]] rf::Trajectory stand_still(rf::Vec2 pos, double duration_sec,
-                                         double dt);
-
 /// Gesture trajectory: the subject stands at `start` and performs the timed
 /// step sequence along `facing` (unit vector, normally toward the device —
 /// or slanted, Fig. 6-2(c)). Each step follows a raised-cosine speed profile

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/api/session.hpp"
 #include "src/common/error.hpp"
 #include "src/track/assignment.hpp"
 
@@ -223,28 +222,6 @@ std::vector<TrackHistory> track_image(const core::AngleTimeImage& img,
   MultiTargetTracker tracker(cfg);
   for (std::size_t t = 0; t < img.num_times(); ++t) tracker.step(img, t);
   return tracker.histories();
-}
-
-TraceTrackResult track_trace(CSpan h,
-                             const core::MotionTracker::Config& image_cfg,
-                             const MultiTargetTracker::Config& cfg,
-                             double t0) {
-  // Built through the declarative facade: one spec, image + track stages.
-  api::PipelineSpec spec;
-  spec.image.tracker = image_cfg;
-  spec.image.emit_columns = false;  // the image is read back whole below
-  spec.t0 = t0;
-  spec.track = api::TrackStage{cfg};
-  api::Session session(std::move(spec));
-  WIVI_REQUIRE(h.size() >=
-                   static_cast<std::size_t>(image_cfg.music.isar.window),
-               "channel stream shorter than one ISAR window");
-  session.run(h);
-
-  TraceTrackResult out;
-  out.histories = session.multi_tracker().histories();
-  out.image = session.take_image();
-  return out;
 }
 
 }  // namespace wivi::track

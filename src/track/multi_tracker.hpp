@@ -210,27 +210,4 @@ class MultiTargetTracker {
 [[nodiscard]] std::vector<TrackHistory> track_image(
     const core::AngleTimeImage& img, const MultiTargetTracker::Config& cfg = {});
 
-/// Result of the whole-trace batch entry point: the angle-time image plus
-/// the tracks extracted from it (keep the image for figures/debugging, or
-/// discard it and keep only the histories).
-struct TraceTrackResult {
-  /// The smoothed-MUSIC angle-time image of the trace.
-  core::AngleTimeImage image;
-  /// Histories of every track, ordered by id (track_image semantics).
-  std::vector<TrackHistory> histories;
-};
-
-/// Samples-to-tracks batch entry point: build the angle-time image of a
-/// recorded channel-estimate stream and track every mover in it, on the
-/// calling thread (wivi::Session::run(h, num_threads) shards the image
-/// over cores and tracks identically).
-/// @param h  the recorded channel-estimate stream.
-/// @param image_cfg  imaging configuration (hop, grid, MUSIC).
-/// @param cfg  tracker configuration.
-/// @param t0  absolute time of h.front().
-/// @return the image and the track histories.
-[[nodiscard]] TraceTrackResult track_trace(
-    CSpan h, const core::MotionTracker::Config& image_cfg = {},
-    const MultiTargetTracker::Config& cfg = {}, double t0 = 0.0);
-
 }  // namespace wivi::track

@@ -248,21 +248,6 @@ TEST(SessionBatch, BitIdenticalToLegacyEntryPoints) {
   EXPECT_EQ(facade_dec.noise_sigma, batch_dec.noise_sigma);
 }
 
-TEST(SessionBatch, TrackTraceIsTheSamePipeline) {
-  const CVec& h = crossing_trace();
-  api::PipelineSpec spec;
-  spec.image.emit_columns = false;
-  spec.track = api::TrackStage{};
-  api::Session session(std::move(spec));
-  session.run(h);
-
-  const auto via_helper = track::track_trace(h);
-  expect_images_identical(via_helper.image, session.image(), "track_trace");
-  expect_histories_identical(via_helper.histories,
-                             session.multi_tracker().histories(),
-                             "track_trace");
-}
-
 // ------------------------------------------------------- streaming parity ---
 
 TEST(SessionStreaming, BitIdenticalToBatchAcrossChunkSizes) {

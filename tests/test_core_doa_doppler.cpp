@@ -1,6 +1,5 @@
-// Tests for the DoA estimator family (Bartlett / Capon / MUSIC), the
-// Cholesky solver beneath Capon, the Doppler spectrogram processor, and
-// the new sim bodies (robot, multipath ghosts).
+// Tests for the Doppler spectrogram processor and the sim bodies (robot,
+// multipath ghosts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,10 +7,9 @@
 #include "src/common/constants.hpp"
 #include "src/common/error.hpp"
 #include "src/common/random.hpp"
-#include "src/core/doa.hpp"
 #include "src/core/doppler.hpp"
+#include "src/core/isar.hpp"
 #include "src/dsp/peaks.hpp"
-#include "src/linalg/cholesky.hpp"
 #include "src/sim/multipath.hpp"
 #include "src/sim/robot.hpp"
 
@@ -27,108 +25,6 @@ CVec mover(double vr, std::size_t n, const core::IsarConfig& cfg,
     h[i] = cdouble{std::cos(p), std::sin(p)} + rng.complex_gaussian(noise);
   }
   return h;
-}
-
-// ------------------------------------------------------------ Cholesky ---
-
-linalg::CMatrix random_hpd(std::size_t n, Rng& rng) {
-  // A = B B^H + n I is Hermitian positive definite.
-  linalg::CMatrix b(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.complex_gaussian();
-  linalg::CMatrix a = b * b.hermitian();
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
-  return a;
-}
-
-TEST(Cholesky, ReconstructsMatrix) {
-  Rng rng(3);
-  const linalg::CMatrix a = random_hpd(8, rng);
-  const linalg::Cholesky chol(a);
-  const linalg::CMatrix llh = chol.lower() * chol.lower().hermitian();
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      ASSERT_NEAR(std::abs(llh(i, j) - a(i, j)), 0.0, 1e-9);
-}
-
-TEST(Cholesky, SolveSatisfiesSystem) {
-  Rng rng(4);
-  const linalg::CMatrix a = random_hpd(12, rng);
-  CVec b(12);
-  for (auto& v : b) v = rng.complex_gaussian();
-  const CVec x = linalg::solve_hpd(a, b);
-  const CVec ax = a * CSpan(x);
-  for (std::size_t i = 0; i < b.size(); ++i)
-    ASSERT_NEAR(std::abs(ax[i] - b[i]), 0.0, 1e-9);
-}
-
-TEST(Cholesky, InverseQuadraticFormMatchesSolve) {
-  Rng rng(5);
-  const linalg::CMatrix a = random_hpd(6, rng);
-  CVec b(6);
-  for (auto& v : b) v = rng.complex_gaussian();
-  const linalg::Cholesky chol(a);
-  const CVec x = chol.solve(b);
-  cdouble form{0.0, 0.0};
-  for (std::size_t i = 0; i < b.size(); ++i) form += std::conj(b[i]) * x[i];
-  EXPECT_NEAR(chol.inverse_quadratic_form(b), form.real(), 1e-9);
-  EXPECT_NEAR(form.imag(), 0.0, 1e-9);
-}
-
-TEST(Cholesky, LogDeterminantOfIdentityIsZero) {
-  const linalg::Cholesky chol(linalg::CMatrix::identity(5));
-  EXPECT_NEAR(chol.log_determinant(), 0.0, 1e-12);
-}
-
-TEST(Cholesky, RejectsIndefiniteMatrix) {
-  linalg::CMatrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(1, 1) = -1.0;  // indefinite
-  EXPECT_THROW(linalg::Cholesky{a}, ComputeError);
-}
-
-// ----------------------------------------------------------------- DoA ---
-
-class DoaMethodSweep : public ::testing::TestWithParam<core::DoaMethod> {};
-
-TEST_P(DoaMethodSweep, SingleMoverPeaksAtTheRightAngle) {
-  Rng rng(7);
-  core::MusicConfig cfg;
-  const CVec h = mover(0.5, 100, cfg.isar, 1e-4, rng);
-  const core::DoaEstimator est(GetParam(), cfg);
-  const RVec angles = core::angle_grid_deg(1.0);
-  const RVec spec = est.spectrum(h, angles);
-  EXPECT_NEAR(angles[dsp::argmax(spec)], 30.0, 4.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Methods, DoaMethodSweep,
-                         ::testing::Values(core::DoaMethod::kBartlett,
-                                           core::DoaMethod::kCapon,
-                                           core::DoaMethod::kMusic));
-
-TEST(Doa, ResolutionOrderingBartlettCaponMusic) {
-  // Classic result (Stoica & Moses): MUSIC <= Capon <= Bartlett beamwidth.
-  Rng rng(8);
-  core::MusicConfig cfg;
-  const CVec h = mover(0.5, 100, cfg.isar, 1e-5, rng);
-  const RVec angles = core::angle_grid_deg(0.5);
-
-  auto width = [&](core::DoaMethod m) {
-    const core::DoaEstimator est(m, cfg);
-    const RVec spec = est.spectrum(h, angles);
-    const std::size_t peak = dsp::argmax(spec);
-    const double half = spec[peak] / 2.0;
-    std::size_t lo = peak;
-    std::size_t hi = peak;
-    while (lo > 0 && spec[lo] > half) --lo;
-    while (hi + 1 < spec.size() && spec[hi] > half) ++hi;
-    return hi - lo;
-  };
-  const auto wb = width(core::DoaMethod::kBartlett);
-  const auto wc = width(core::DoaMethod::kCapon);
-  const auto wm = width(core::DoaMethod::kMusic);
-  EXPECT_LE(wc, wb);
-  EXPECT_LE(wm, wc);
 }
 
 // ------------------------------------------------------------- Doppler ---

@@ -1,4 +1,4 @@
-// Unit tests for wivi::dsp - FFT, windows, FIR, matched filters, peaks,
+// Unit tests for wivi::dsp - FFT, windows, matched filters, peaks,
 // statistics.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "src/common/error.hpp"
 #include "src/common/random.hpp"
 #include "src/dsp/fft.hpp"
-#include "src/dsp/fir.hpp"
 #include "src/dsp/matched_filter.hpp"
 #include "src/dsp/peaks.hpp"
 #include "src/dsp/stats.hpp"
@@ -204,75 +203,6 @@ TEST(Window, ApplyScalesComplexBuffer) {
   EXPECT_DOUBLE_EQ(x[2].real(), 2.0);
   EXPECT_DOUBLE_EQ(x[0].real(), 0.0);
   EXPECT_DOUBLE_EQ(x[1].real(), 1.0);
-}
-
-// ---------------------------------------------------------------- FIR ---
-
-TEST(Fir, LowpassHasUnityDcGain) {
-  const RVec taps = design_lowpass(31, 0.2);
-  double sum = 0.0;
-  for (double t : taps) sum += t;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(Fir, LowpassAttenuatesHighFrequency) {
-  const RVec taps = design_lowpass(63, 0.1);
-  // Probe with a tone well inside the stopband (0.4 of fs).
-  const std::size_t n = 512;
-  RVec tone(n);
-  for (std::size_t i = 0; i < n; ++i)
-    tone[i] = std::cos(kTwoPi * 0.4 * static_cast<double>(i));
-  const RVec out = convolve(tone, taps, ConvMode::kSame);
-  double in_pow = 0.0;
-  double out_pow = 0.0;
-  for (std::size_t i = 100; i < n - 100; ++i) {  // skip edge transients
-    in_pow += tone[i] * tone[i];
-    out_pow += out[i] * out[i];
-  }
-  EXPECT_LT(out_pow / in_pow, 1e-4);  // > 40 dB stopband rejection
-}
-
-TEST(Fir, ConvolveFullLength) {
-  const RVec x = {1.0, 2.0, 3.0};
-  const RVec h = {1.0, 1.0};
-  const RVec y = convolve(x, h, ConvMode::kFull);
-  ASSERT_EQ(y.size(), 4u);
-  EXPECT_DOUBLE_EQ(y[0], 1.0);
-  EXPECT_DOUBLE_EQ(y[1], 3.0);
-  EXPECT_DOUBLE_EQ(y[2], 5.0);
-  EXPECT_DOUBLE_EQ(y[3], 3.0);
-}
-
-TEST(Fir, ConvolveSamePreservesLength) {
-  const RVec x(37, 1.0);
-  const RVec h = {0.25, 0.5, 0.25};
-  EXPECT_EQ(convolve(x, h, ConvMode::kSame).size(), x.size());
-}
-
-TEST(Fir, BlockAverageReducesNoiseVariance) {
-  Rng rng(5);
-  CVec x;
-  rng.fill_awgn(x, 10000, 1.0);
-  const CVec avg = block_average(x, 100);
-  ASSERT_EQ(avg.size(), 100u);
-  EXPECT_NEAR(mean_power(avg), 0.01, 0.006);  // variance drops by the factor
-}
-
-TEST(Fir, BlockAverageOfConstantIsConstant) {
-  const CVec x(64, cdouble{2.0, -1.0});
-  for (const auto& v : block_average(x, 8)) {
-    EXPECT_NEAR(std::abs(v - cdouble{2.0, -1.0}), 0.0, 1e-12);
-  }
-}
-
-TEST(Fir, MovingAverageSmoothsStep) {
-  RVec x(21, 0.0);
-  for (std::size_t i = 10; i < x.size(); ++i) x[i] = 1.0;
-  const RVec y = moving_average(x, 5);
-  EXPECT_LT(y[9], 1.0);
-  EXPECT_GT(y[9], 0.0);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-  EXPECT_DOUBLE_EQ(y[20], 1.0);
 }
 
 // ----------------------------------------------------- Matched filter ---

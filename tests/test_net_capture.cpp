@@ -1,8 +1,7 @@
-// Capture/replay: WVCP file round trips (synchronous and ring-drained
-// writer), torn-tail tolerance, foreign-file rejection, and the headline
-// determinism claim — replaying a capture through the shared Demux path
-// reproduces the live run bit for bit, at the chunk level and all the way
-// through the engine's typed event stream.
+// Capture/replay: WVCP file round trips, torn-tail tolerance, foreign-file
+// rejection, and the headline determinism claim — replaying a capture
+// through the shared Demux path reproduces the live run bit for bit, at the
+// chunk level and all the way through the engine's typed event stream.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -61,9 +60,7 @@ TEST(Capture, SyncWriterReaderRoundTrip) {
   TempFile f("sync");
   std::vector<net::CaptureRecord> written;
   {
-    net::CaptureWriter::Config cfg;
-    cfg.synchronous = true;
-    net::CaptureWriter w(f.path, cfg);
+    net::CaptureWriter w(f.path);
     for (std::uint64_t seq = 0; seq < 10; ++seq) {
       const auto frames = net::chunk_to_frames(3, seq, ramp_chunk(8, seq));
       w.append(static_cast<std::int64_t>(1000 + seq), frames[0]);
@@ -71,7 +68,6 @@ TEST(Capture, SyncWriterReaderRoundTrip) {
           {static_cast<std::int64_t>(1000 + seq), frames[0]});
     }
     EXPECT_EQ(w.records(), 10u);
-    EXPECT_EQ(w.drops(), 0u);
   }  // destructor closes
 
   bool truncated = true;
@@ -84,28 +80,10 @@ TEST(Capture, SyncWriterReaderRoundTrip) {
   }
 }
 
-TEST(Capture, AsyncWriterDrainsEverythingOnClose) {
-  TempFile f("async");
-  const std::size_t n = 500;
-  {
-    net::CaptureWriter w(f.path);  // default: ring + writer thread
-    for (std::uint64_t seq = 0; seq < n; ++seq)
-      w.append(static_cast<std::int64_t>(seq),
-               net::chunk_to_frames(1, seq, ramp_chunk(4))[0]);
-    w.close();
-    EXPECT_EQ(w.records() + w.drops(), n);
-    EXPECT_EQ(w.drops(), 0u);  // ring (1024) never fills at this rate
-  }
-  const auto got = read_all(f.path);
-  EXPECT_EQ(got.size(), n);
-}
-
 TEST(Capture, TornTailReplaysIntactPrefix) {
   TempFile f("torn");
   {
-    net::CaptureWriter::Config cfg;
-    cfg.synchronous = true;
-    net::CaptureWriter w(f.path, cfg);
+    net::CaptureWriter w(f.path);
     for (std::uint64_t seq = 0; seq < 5; ++seq)
       w.append(0, net::chunk_to_frames(1, seq, ramp_chunk(4))[0]);
   }
@@ -186,9 +164,7 @@ TEST(Capture, ReplayMatchesLiveDemuxBitExact) {
 
   std::uint64_t accepted = 0, rejected = 0;
   {
-    net::CaptureWriter::Config wcfg;
-    wcfg.synchronous = true;
-    net::CaptureWriter writer(f.path, wcfg);
+    net::CaptureWriter writer(f.path);
     const auto deliver = [&](std::vector<std::byte>&& frame) {
       net::FrameView v;
       if (net::parse_frame(frame, v) == net::ParseStatus::kOk) {
@@ -233,9 +209,7 @@ TEST(Capture, ReplayMatchesLiveDemuxBitExact) {
 TEST(Capture, CorruptedCaptureRejectsLikeCorruptWire) {
   TempFile f("corrupt");
   {
-    net::CaptureWriter::Config cfg;
-    cfg.synchronous = true;
-    net::CaptureWriter w(f.path, cfg);
+    net::CaptureWriter w(f.path);
     auto good = net::chunk_to_frames(1, 0, ramp_chunk(8))[0];
     w.append(0, good);
     auto bad = net::chunk_to_frames(1, 1, ramp_chunk(8))[0];
@@ -266,11 +240,8 @@ std::string engine_event_log(const std::vector<std::vector<std::byte>>& frames,
 
   net::Demux demux({}, binding.sink(), binding.end_sink());
   std::unique_ptr<net::CaptureWriter> writer;
-  if (!capture_path.empty()) {
-    net::CaptureWriter::Config wcfg;
-    wcfg.synchronous = true;
-    writer = std::make_unique<net::CaptureWriter>(capture_path, wcfg);
-  }
+  if (!capture_path.empty())
+    writer = std::make_unique<net::CaptureWriter>(capture_path);
   std::int64_t t = 0;
   for (const auto& frame : frames) {
     net::FrameView v;

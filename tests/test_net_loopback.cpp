@@ -19,7 +19,6 @@
 #include "src/net/sender.hpp"
 #include "src/obs/snapshot.hpp"
 #include "src/rt/engine.hpp"
-#include "src/sim/netfeed.hpp"
 #include "tests/net_test_util.hpp"
 
 namespace wivi {
@@ -61,6 +60,21 @@ std::string in_process_event_log(std::uint64_t trace_seed) {
   return nettest::event_log(events, id);
 }
 
+/// Send every chunk of `feed` as sensor `sensor_id`'s stream, then its
+/// end-of-stream mark (the send loop of bench_net and wivi_capture).
+/// Returns the chunks sent.
+std::size_t send_stream(net::Sender& sender, std::uint32_t sensor_id,
+                        sim::ChunkedTrace& feed) {
+  std::size_t sent = 0;
+  CVec chunk;
+  while (feed.next(chunk)) {
+    sender.send_chunk(sensor_id, chunk);
+    ++sent;
+  }
+  sender.send_end(sensor_id);
+  return sent;
+}
+
 /// Drive the receiver until the socket goes quiet: a few empty polls in a
 /// row mean everything in flight has been drained.
 void pump(net::Receiver& rx) {
@@ -96,9 +110,8 @@ std::string network_event_log(net::Transport transport,
   sc.port = transport == net::Transport::kUdp ? rx.udp_port() : rx.tcp_port();
   sc.max_payload = kMaxPayload;
   net::Sender sender(sc);
-  sim::NetFeeder feeder(sender, sensor_id);
   auto feed = nettest::make_feed(kSamples, trace_seed, kChunkLen);
-  feeder.feed(feed);  // every chunk + the end-of-stream mark
+  send_stream(sender, sensor_id, feed);
   sender.close();
 
   pump(rx);
@@ -253,9 +266,8 @@ TEST(Loopback, NetMetricsExportThroughEngineSnapshotAndStats) {
   sc.port = rx.udp_port();
   sc.max_payload = kMaxPayload;
   net::Sender sender(sc);
-  sim::NetFeeder feeder(sender, 3);
   auto feed = nettest::make_feed(kSamples, 9, kChunkLen);
-  feeder.feed(feed);
+  send_stream(sender, 3, feed);
   pump(rx);
   rx.flush();
   binding.close_all();
@@ -312,9 +324,8 @@ TEST(Loopback, BackgroundThreadReceiverDeliversEverything) {
   sc.port = rx.tcp_port();
   sc.max_payload = kMaxPayload;
   net::Sender sender(sc);
-  sim::NetFeeder feeder(sender, 4);
   auto feed = nettest::make_feed(kSamples, kTraceSeed, kChunkLen);
-  const std::size_t chunks = feeder.feed(feed);
+  const std::size_t chunks = send_stream(sender, 4, feed);
   sender.close();
 
   // TCP is lossless: wait until the background thread has accepted

@@ -197,19 +197,23 @@ TEST(ParallelImageBuilder, RejectsTooShortStream) {
 
 TEST(TrackTrace, MatchesManualImageThenTrack) {
   const CVec h = sim::synthetic_crossing_trace(6.0, 17);
-  const core::MotionTracker::Config icfg;
-  const track::TraceTrackResult got = track::track_trace(h, icfg);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  api::Session session(spec);
+  session.run(h);
   const core::AngleTimeImage img =
-      par::ParallelImageBuilder(icfg, 4).build(h);
-  expect_images_bit_identical(img, got.image);
+      par::ParallelImageBuilder(spec.image.tracker, 4).build(h);
+  expect_images_bit_identical(img, session.image());
   const auto want = track::track_image(img);
-  ASSERT_EQ(want.size(), got.histories.size());
+  const auto& got = session.multi_tracker().histories();
+  ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].id, got.histories[i].id);
-    EXPECT_EQ(want[i].state, got.histories[i].state);
-    ASSERT_EQ(want[i].angles_deg.size(), got.histories[i].angles_deg.size());
+    EXPECT_EQ(want[i].id, got[i].id);
+    EXPECT_EQ(want[i].state, got[i].state);
+    ASSERT_EQ(want[i].angles_deg.size(), got[i].angles_deg.size());
     for (std::size_t t = 0; t < want[i].angles_deg.size(); ++t)
-      EXPECT_EQ(want[i].angles_deg[t], got.histories[i].angles_deg[t]);
+      EXPECT_EQ(want[i].angles_deg[t], got[i].angles_deg[t]);
   }
 }
 

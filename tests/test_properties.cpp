@@ -6,7 +6,7 @@
 // monotonically with noise and quantization, decoding survives every
 // subject and orientation, bad inputs fail loudly instead of silently, and
 // smoothed MUSIC obeys the metamorphic laws of its own math (scaling,
-// phase rotation and conjugation of the stream).
+// phase rotation, conjugation and Doppler shift of the stream).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -368,6 +368,47 @@ TEST(MetamorphicMusic, ConjugatingTheStreamMirrorsTheAngleAxis) {
       for (std::size_t a = 0; a < na; ++a)
         ASSERT_NEAR(1.0 / col_c[na - 1 - a], 1.0 / col[a], 1e-9)
             << "angle " << a;
+    });
+  }
+  EXPECT_GE(cols, 1000u);
+}
+
+TEST(MetamorphicMusic, DopplerShiftMovesTheSpectrumAlongSinTheta) {
+  // x[n] -> x[n] e^{j 2 pi f n T} multiplies R(i, j) by e^{j 2 pi f (i-j) T}
+  // (the sub-array's own start phase cancels in every x x* product), so
+  // R' = D R D^H with D = diag(e^{j 2 pi f i T}): same eigenvalues, noise
+  // subspace D E_n. Since D^H a(theta') = a(theta) when
+  // sin theta' = sin theta + lambda f / (2 v), the shifted stream's
+  // spectrum at theta' is the original's at theta, with the same order.
+  constexpr double kShift = 0.25;  // lambda f / (2 v), in units of sin theta
+  const core::SmoothedMusic music;
+  const core::IsarConfig& isar = music.config().isar;
+  const double phase_step =
+      kTwoPi * kShift * core::element_spacing_m(isar) / isar.wavelength_m;
+  RVec angles;
+  RVec mapped;
+  for (const double theta : core::angle_grid_deg(1.0)) {
+    const double s = std::sin(theta * kPi / 180.0) + kShift;
+    if (std::abs(s) > 1.0) continue;
+    angles.push_back(theta);
+    mapped.push_back(std::asin(s) * 180.0 / kPi);
+  }
+  ASSERT_GE(angles.size(), 100u);
+  RVec col, col_d;
+  std::size_t cols = 0;
+  for (const CVec& h : scenario_streams()) {
+    CVec shifted(h);
+    for (std::size_t n = 0; n < shifted.size(); ++n)
+      shifted[n] *= std::polar(1.0, phase_step * static_cast<double>(n));
+    cols += for_each_column(h, shifted, [&](CSpan x, CSpan xd) {
+      int order = 0;
+      int order_d = 0;
+      music.pseudospectrum_into(x, angles, col, &order);
+      music.pseudospectrum_into(xd, mapped, col_d, &order_d);
+      ASSERT_EQ(order_d, order);
+      for (std::size_t a = 0; a < angles.size(); ++a)
+        ASSERT_NEAR(1.0 / col_d[a], 1.0 / col[a], 1e-9)
+            << "angle " << angles[a];
     });
   }
   EXPECT_GE(cols, 1000u);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/api/session.hpp"
 #include "src/common/error.hpp"
 #include "src/core/tracker.hpp"
 #include "src/sim/evaluate.hpp"
@@ -405,7 +406,11 @@ TEST(TrackerEdgeCase, OcclusionForgivenessSurvivesNearParallelMerge) {
   // the track, and re-births the mover under a fresh id.
   const Golden g = golden_near_parallel();
   const GeneratedScenario sc = generate_scenario(g.spec, g.seed);
-  const track::TraceTrackResult run = track::track_trace(sc.h);
+  api::PipelineSpec spec;
+  spec.image.emit_columns = false;
+  spec.track = api::TrackStage{};
+  api::Session session(std::move(spec));
+  session.run(sc.h);
 
   const auto confirmed_count = [](const std::vector<track::TrackHistory>& hs) {
     int n = 0;
@@ -414,12 +419,12 @@ TEST(TrackerEdgeCase, OcclusionForgivenessSurvivesNearParallelMerge) {
   };
 
   // Default (occlusion-aware): one track per mover, nothing reborn.
-  EXPECT_EQ(confirmed_count(run.histories), 2);
+  EXPECT_EQ(confirmed_count(session.multi_tracker().histories()), 2);
 
   MultiTargetTracker::Config legacy;
   legacy.max_occluded_columns = 0;  // every miss consumes coast budget
   legacy.coast_velocity_damping = 1.0;
-  const auto legacy_histories = track::track_image(run.image, legacy);
+  const auto legacy_histories = track::track_image(session.image(), legacy);
   EXPECT_GE(confirmed_count(legacy_histories), 3);
 }
 

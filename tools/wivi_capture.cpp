@@ -38,7 +38,6 @@
 #include "src/net/sender.hpp"
 #include "src/net/wire_fault.hpp"
 #include "src/sim/feeder.hpp"
-#include "src/sim/netfeed.hpp"
 #include "src/sim/synthetic.hpp"
 
 namespace {
@@ -130,9 +129,7 @@ void print_demux_summary(const net::Demux& demux, std::uint64_t frames,
 int cmd_record(const Args& args) {
   if (args.out.empty()) return usage();
 
-  net::CaptureWriter::Config wc;
-  wc.synchronous = true;  // a tool run should never drop its own capture
-  net::CaptureWriter writer(args.out, wc);
+  net::CaptureWriter writer(args.out);
 
   std::uint64_t chunks_delivered = 0;
   net::ReceiverConfig rc;
@@ -157,7 +154,6 @@ int cmd_record(const Args& args) {
   tr.h = sim::synthetic_mover_trace(args.samples, args.seed, 0.4);
   tr.sample_rate_hz = 312.5;
   sim::ChunkedTrace trace(std::move(tr), args.chunk);
-  sim::NetFeeder feeder(sender, args.sensor);
   std::size_t sent = 0;
   // Interleave send and poll so bounded socket buffers never overflow.
   CVec chunk;
