@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Memory-footprint gate for the shared-plan registry (ISSUE 9).
+"""Memory-footprint gate for the shared-plan registry (DESIGN.md §12).
 
 Holds a fresh ``bench_mem`` run against the committed ``BENCH_mem.json``
 reference.  The contract being enforced:
@@ -16,7 +16,12 @@ reference.  The contract being enforced:
     cost at N=1000 must not exceed N=100 by more than the slack), i.e.
     nothing per-session secretly scales with the fleet;
   * active bytes per session must not regress past the committed
-    ``after`` reference by more than the slack.
+    ``after`` reference by more than the slack;
+  * the process-shared bytes (the plan registry's artifacts and
+    per-thread scratch, which the registry keeps until ``clear()``)
+    must not exceed the committed ``after.process_shared_bytes`` by more
+    than the slack — the registry never evicts, so this measured bound
+    is what keeps a key leak from going unnoticed.
 
 Exit 0 when every check passes, 1 otherwise.
 
@@ -89,6 +94,16 @@ def main() -> int:
              f"the committed reference {after_active['1000']} x slack "
              f"{args.slack} = {active_cap:.0f}")
 
+    # 5. Process-shared bytes stay at the committed reference: a config
+    #    value leaking into a plan key would grow the never-evicting table.
+    after_shared = baseline["after"]["process_shared_bytes"]
+    shared = measured["process_shared_bytes"]
+    shared_cap = float(after_shared) * args.slack
+    if shared > shared_cap:
+        fail(f"process-shared bytes are {shared}, above the committed "
+             f"reference {after_shared} x slack {args.slack} = "
+             f"{shared_cap:.0f}")
+
     if errors:
         for e in errors:
             print(f"check_mem: FAIL: {e}", file=sys.stderr)
@@ -97,7 +112,8 @@ def main() -> int:
     reduction = before_idle["1000"] / max(1, idle["1000"])
     print(f"check_mem: OK — idle {idle['1000']} B/session at N=1000 "
           f"({reduction:.1f}x below the pre-registry baseline), "
-          f"active {active['1000']} B/session")
+          f"active {active['1000']} B/session, "
+          f"process-shared {shared} B")
     return 0
 
 

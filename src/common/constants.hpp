@@ -37,10 +37,4 @@ inline constexpr double kChannelSampleRateHz =
 /// (paper §5.1, default v = 1 m/s).
 inline constexpr double kAssumedHumanSpeed = 1.0;
 
-/// Boltzmann constant [J/K] for thermal-noise floors.
-inline constexpr double kBoltzmann = 1.380649e-23;
-
-/// Reference temperature [K].
-inline constexpr double kRoomTemperatureK = 290.0;
-
 }  // namespace wivi

@@ -17,8 +17,4 @@ double amp_to_db(double amplitude_ratio) noexcept {
 
 double db_to_amp(double db) noexcept { return std::pow(10.0, db / 20.0); }
 
-double dbm_to_watts(double dbm) noexcept { return 1e-3 * from_db(dbm); }
-
-double watts_to_dbm(double watts) noexcept { return to_db(watts / 1e-3); }
-
 }  // namespace wivi

@@ -22,9 +22,4 @@ inline constexpr double kDbFloorRatio = 1e-30;
 /// dB -> amplitude ratio.
 [[nodiscard]] double db_to_amp(double db) noexcept;
 
-/// dBm -> watts and back; the hardware layer quotes powers in dBm like the
-/// USRP documentation does.
-[[nodiscard]] double dbm_to_watts(double dbm) noexcept;
-[[nodiscard]] double watts_to_dbm(double watts) noexcept;
-
 }  // namespace wivi

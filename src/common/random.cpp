@@ -87,11 +87,6 @@ cdouble Rng::complex_gaussian(double variance) {
   return {gaussian() * sigma, gaussian() * sigma};
 }
 
-void Rng::fill_awgn(CVec& out, std::size_t n, double noise_power) {
-  out.resize(n);
-  for (auto& z : out) z = complex_gaussian(noise_power);
-}
-
 Rng Rng::fork() {
   // Two fresh words from this stream seed the child; children are
   // statistically independent of further draws from the parent.

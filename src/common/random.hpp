@@ -42,9 +42,6 @@ class Rng {
   /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance.
   cdouble complex_gaussian(double variance = 1.0);
 
-  /// Fill a buffer with complex AWGN of the given per-sample power.
-  void fill_awgn(CVec& out, std::size_t n, double noise_power);
-
   /// Derive an independent child generator (for per-trial streams).
   Rng fork();
 

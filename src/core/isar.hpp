@@ -96,8 +96,8 @@ class SteeringTable {
 /// grid, m, unit_norm). The key is *canonical*: it carries the derived
 /// element spacing Delta = 2 v T rather than v and T separately, so
 /// configurations that differ only in that factoring (e.g. doubled speed,
-/// halved sample period) collide on one shared table. Built at most once
-/// process-wide while resident; the handle pins the table past eviction.
+/// halved sample period) collide on one shared table. Built once
+/// process-wide; the handle pins the table past plan::Registry::clear().
 [[nodiscard]] std::shared_ptr<const SteeringTable> acquire_steering(
     const IsarConfig& cfg, RSpan angles_deg, std::size_t m, bool unit_norm);
 

@@ -103,12 +103,6 @@ void fft(CVec& x) { fft_plan(x.size()).forward(x); }
 
 void ifft(CVec& x) { fft_plan(x.size()).inverse(x); }
 
-CVec fft_copy(CSpan x) {
-  CVec out(x.begin(), x.end());
-  fft(out);
-  return out;
-}
-
 CVec ifft_copy(CSpan x) {
   CVec out(x.begin(), x.end());
   ifft(out);
@@ -119,14 +113,6 @@ CVec fftshift(CSpan x) {
   const std::size_t n = x.size();
   CVec out(n);
   const std::size_t half = (n + 1) / 2;  // ceil: DC lands at floor(n/2)
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[(i + half) % n];
-  return out;
-}
-
-CVec ifftshift(CSpan x) {
-  const std::size_t n = x.size();
-  CVec out(n);
-  const std::size_t half = n / 2;  // floor: the two rotations sum to n
   for (std::size_t i = 0; i < n; ++i) out[i] = x[(i + half) % n];
   return out;
 }

@@ -49,9 +49,9 @@ class FftPlan {
 };
 
 /// Shared handle to the registry-owned plan for size n (wivi::plan): the
-/// plan is built at most once process-wide while resident, shared across
-/// every thread and session, and the handle pins it past any cache
-/// eviction. Prefer this for long-lived owners (e.g. a processor member);
+/// plan is built once process-wide, shared across every thread and
+/// session, and the handle pins it past plan::Registry::clear(). Prefer
+/// this for long-lived owners (e.g. a processor member);
 /// hot loops that want a bare reference use fft_plan().
 [[nodiscard]] std::shared_ptr<const FftPlan> acquire_fft_plan(std::size_t n);
 
@@ -60,7 +60,7 @@ class FftPlan {
 /// shared plan registry — every thread resolves the same size to the same
 /// registry-owned plan, and a registry hit is allocation-free. The
 /// reference stays valid for the thread's lifetime (the memo's handle
-/// pins the plan even if the registry evicts it).
+/// pins the plan even across plan::Registry::clear()).
 [[nodiscard]] const FftPlan& fft_plan(std::size_t n);
 
 /// In-place forward DFT. `x.size()` must be a power of two.
@@ -70,17 +70,11 @@ void fft(CVec& x);
 /// In-place inverse DFT with 1/N scaling, so ifft(fft(x)) == x.
 void ifft(CVec& x);
 
-/// Out-of-place convenience overloads.
-[[nodiscard]] CVec fft_copy(CSpan x);
+/// Out-of-place inverse DFT (same scaling as ifft()).
 [[nodiscard]] CVec ifft_copy(CSpan x);
 
 /// Rotate so the zero-frequency bin sits in the middle (plot ordering):
 /// x[0] lands at index n/2 (floor), for even and odd n alike.
 [[nodiscard]] CVec fftshift(CSpan x);
-
-/// Exact inverse of fftshift. For even n the two are the same rotation;
-/// for odd n they differ by one sample — using fftshift twice there is an
-/// off-by-one, which is why this exists (parity pinned in test_dsp).
-[[nodiscard]] CVec ifftshift(CSpan x);
 
 }  // namespace wivi::dsp

@@ -62,10 +62,4 @@ void apply_window(CVec& x, RSpan window) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] *= window[i];
 }
 
-double window_gain(RSpan window) noexcept {
-  double acc = 0.0;
-  for (double v : window) acc += v;
-  return acc;
-}
-
 }  // namespace wivi::dsp

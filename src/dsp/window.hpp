@@ -22,17 +22,14 @@ enum class WindowType { kRectangular, kHann, kHamming, kBlackman, kTriangular };
                                bool periodic = false);
 
 /// Shared handle to the registry-owned coefficient table for
-/// (type, n, periodic) — exactly make_window()'s values, built at most
-/// once process-wide while resident (wivi::plan) and shared read-only
-/// across threads and sessions.
+/// (type, n, periodic) — exactly make_window()'s values, built once
+/// process-wide (wivi::plan) and shared read-only across threads and
+/// sessions.
 [[nodiscard]] std::shared_ptr<const RVec> acquire_window(WindowType type,
                                                          std::size_t n,
                                                          bool periodic = false);
 
 /// Multiply a complex buffer by a real window element-wise.
 void apply_window(CVec& x, RSpan window);
-
-/// Sum of window coefficients (for amplitude normalisation).
-[[nodiscard]] double window_gain(RSpan window) noexcept;
 
 }  // namespace wivi::dsp

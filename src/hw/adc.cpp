@@ -47,6 +47,4 @@ Adc::Result Adc::convert(CSpan x) const {
   return r;
 }
 
-double Adc::dynamic_range_db() const noexcept { return 6.02 * bits_; }
-
 }  // namespace wivi::hw

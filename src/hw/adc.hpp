@@ -37,9 +37,6 @@ class Adc {
   };
   [[nodiscard]] Result convert(CSpan x) const;
 
-  /// Dynamic range in dB (6.02 dB per bit).
-  [[nodiscard]] double dynamic_range_db() const noexcept;
-
  private:
   [[nodiscard]] double quantize_rail(double v, bool& clipped) const noexcept;
 

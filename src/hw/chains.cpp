@@ -37,14 +37,6 @@ TxChain::Result TxChain::process(CSpan x) const {
   return r;
 }
 
-bool TxChain::would_clip(CSpan x) const {
-  const double g = db_to_amp(gain_db_);
-  for (cdouble v : x) {
-    if (std::abs(v) * g > max_amp_) return true;
-  }
-  return false;
-}
-
 RxChain::RxChain(double gain_db) : gain_db_(gain_db) {}
 
 void RxChain::set_gain_db(double gain_db) { gain_db_ = gain_db; }

@@ -25,10 +25,6 @@ class TxChain {
   };
   [[nodiscard]] Result process(CSpan x) const;
 
-  /// Would this buffer clip at the current gain? (used by tests asserting
-  /// the 12 dB boost stays inside the linear range).
-  [[nodiscard]] bool would_clip(CSpan x) const;
-
  private:
   double gain_db_;
   double max_amp_;

@@ -46,11 +46,6 @@ std::optional<rt::SessionId> EngineBinding::session(
   return it->second;
 }
 
-std::size_t EngineBinding::num_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
-}
-
 void EngineBinding::close_all() {
   std::vector<rt::SessionId> to_close;
   {

@@ -58,8 +58,6 @@ class EngineBinding {
   /// The engine session a sensor was bound to (nullopt: never seen).
   [[nodiscard]] std::optional<rt::SessionId> session(
       std::uint32_t sensor_id) const;
-  /// Sensors bound to sessions so far.
-  [[nodiscard]] std::size_t num_sessions() const;
   /// Close every still-open bound session (for streams that never sent an
   /// end-of-stream mark; makes Engine::drain() well-defined).
   void close_all();

@@ -109,9 +109,4 @@ std::uint64_t Sender::send_end(std::uint32_t sensor_id) {
   return seq;
 }
 
-std::uint64_t Sender::next_seq(std::uint32_t sensor_id) const {
-  const auto it = seq_.find(sensor_id);
-  return it == seq_.end() ? 0 : it->second;
-}
-
 }  // namespace wivi::net

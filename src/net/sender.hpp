@@ -82,8 +82,6 @@ class Sender {
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
     return bytes_sent_;
   }
-  /// Next chunk_seq the sensor would be assigned.
-  [[nodiscard]] std::uint64_t next_seq(std::uint32_t sensor_id) const;
 
  private:
   void send_frames(std::vector<std::vector<std::byte>>&& frames);

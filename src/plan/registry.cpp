@@ -38,236 +38,52 @@ std::uint64_t hash_key(const KeyRef& key) noexcept {
   return h;
 }
 
-Registry::Registry(std::size_t capacity) : c_(capacity) {
-  WIVI_REQUIRE(capacity >= 1, "plan registry capacity must be >= 1");
-}
-
-Registry::EntryList& Registry::list_of(ListId id) {
-  switch (id) {
-    case ListId::kT1: return t1_;
-    case ListId::kT2: return t2_;
-    case ListId::kB1: return b1_;
-    case ListId::kB2: return b2_;
-  }
-  return t1_;  // unreachable
-}
-
-bool Registry::matches(const Entry& e, const KeyRef& key,
-                       std::uint64_t hash) const {
-  return e.hash == hash && e.kind == key.kind &&
-         e.ints.size() == key.ints.size() &&
-         std::equal(key.ints.begin(), key.ints.end(), e.ints.begin()) &&
-         bits_equal(key.reals, e.reals) && bits_equal(key.grid, e.grid);
-}
-
-Registry::EntryIt Registry::find_locked(const KeyRef& key, std::uint64_t hash,
-                                        bool* found) {
-  const auto bucket = index_.find(hash);
-  if (bucket != index_.end()) {
-    for (const EntryIt it : bucket->second) {
-      if (matches(*it, key, hash)) {
-        *found = true;
-        return it;
-      }
-    }
-  }
-  *found = false;
-  return t1_.end();
-}
-
-void Registry::move_to_front(EntryIt it, ListId dst) {
-  EntryList& d = list_of(dst);
-  EntryList& s = list_of(it->list);
-  it->list = dst;
-  d.splice(d.begin(), s, it);
-}
-
-void Registry::demote_lru(ListId from) {
-  EntryList& src = list_of(from);
-  if (src.empty()) return;
-  const EntryIt it = std::prev(src.end());
-  // Drop only the registry's reference: outstanding handles keep the
-  // artifact alive, and it->ghost (set at build time) lets a later
-  // acquire resurrect it without rebuilding.
-  stats_.resident_bytes -= it->bytes;
-  it->artifact.reset();
-  ++stats_.evictions;
-  move_to_front(it, from == ListId::kT1 ? ListId::kB1 : ListId::kB2);
-}
-
-void Registry::drop_lru(ListId from) {
-  EntryList& src = list_of(from);
-  if (src.empty()) return;
-  const EntryIt it = std::prev(src.end());
-  if (it->artifact != nullptr) {
-    stats_.resident_bytes -= it->bytes;
-    ++stats_.evictions;
-  }
-  erase_from_index(it);
-  src.erase(it);
-}
-
-void Registry::erase_from_index(EntryIt it) {
-  const auto bucket = index_.find(it->hash);
-  if (bucket == index_.end()) return;
-  auto& v = bucket->second;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == it) {
-      v[i] = v.back();
-      v.pop_back();
-      break;
-    }
-  }
-  if (v.empty()) index_.erase(bucket);
-}
-
-void Registry::replace_locked(bool hit_in_b2) {
-  // ARC's REPLACE: demote the resident LRU the adaptation target points
-  // at — T1 when it exceeds p (or exactly meets it on a B2 hit), else T2.
-  if (!t1_.empty() &&
-      (t1_.size() > p_ || (hit_in_b2 && t1_.size() == p_))) {
-    demote_lru(ListId::kT1);
-  } else if (!t2_.empty()) {
-    demote_lru(ListId::kT2);
-  }
-}
-
-void Registry::make_room_locked(bool /*in_ghost*/) {
-  // ARC case IV (brand-new key): keep |T1|+|B1| <= c and the total
-  // directory <= 2c before inserting at the MRU of T1.
-  const std::size_t l1 = t1_.size() + b1_.size();
-  if (l1 == c_) {
-    if (t1_.size() < c_) {
-      drop_lru(ListId::kB1);
-      replace_locked(false);
-    } else {
-      drop_lru(ListId::kT1);  // B1 empty and T1 full: discard T1's LRU
-    }
-  } else if (l1 < c_) {
-    const std::size_t total = l1 + t2_.size() + b2_.size();
-    if (total >= c_) {
-      if (total == 2 * c_) drop_lru(ListId::kB2);
-      replace_locked(false);
-    }
-  }
-}
-
-std::shared_ptr<const void> Registry::materialize_locked(EntryIt it,
-                                                         BuildFn build,
-                                                         void* ctx) {
-  if (auto live = it->ghost.lock()) {
-    // Some session still holds a handle to the evicted artifact — adopt
-    // it back instead of rebuilding.
-    ++stats_.resurrections;
-    it->artifact = std::move(live);
-  } else {
-    ++stats_.builds;
-    Built b = build(ctx);
-    WIVI_REQUIRE(b.artifact != nullptr, "plan builder returned null");
-    it->artifact = std::move(b.artifact);
-    it->bytes = b.bytes;
-    it->ghost = it->artifact;
-  }
-  stats_.resident_bytes += it->bytes;
-  return it->artifact;
-}
-
 std::shared_ptr<const void> Registry::acquire(const KeyRef& key, BuildFn build,
                                               void* ctx) {
   WIVI_REQUIRE(build != nullptr, "plan builder must be non-null");
   const std::uint64_t h = hash_key(key);
   std::lock_guard<std::mutex> lock(mu_);
 
-  bool found = false;
-  const EntryIt it = find_locked(key, h, &found);
-  if (found && it->artifact != nullptr) {
-    // Resident hit — the allocation-free fast path: bump to the MRU of
-    // the frequency list and hand out a handle copy.
-    ++stats_.hits;
-    move_to_front(it, ListId::kT2);
-    return it->artifact;
+  // Hit — the allocation-free path: probe the hash's bucket, compare the
+  // full key, hand out a handle copy.
+  const auto [first, last] = table_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    const Entry& e = it->second;
+    if (e.kind == key.kind && e.ints.size() == key.ints.size() &&
+        std::equal(key.ints.begin(), key.ints.end(), e.ints.begin()) &&
+        bits_equal(key.reals, e.reals) && bits_equal(key.grid, e.grid)) {
+      ++stats_.hits;
+      return e.artifact;
+    }
   }
   ++stats_.misses;
 
-  if (found) {
-    // Ghost hit: the key was evicted recently. Adapt p toward the list
-    // that proved too small, make room, then revive or rebuild.
-    ++stats_.ghost_hits;
-    const bool in_b2 = it->list == ListId::kB2;
-    if (in_b2) {
-      const std::size_t d =
-          std::max<std::size_t>(1, b2_.empty() ? 1 : b1_.size() / b2_.size());
-      p_ = p_ > d ? p_ - d : 0;
-    } else {
-      const std::size_t d =
-          std::max<std::size_t>(1, b1_.empty() ? 1 : b2_.size() / b1_.size());
-      p_ = std::min(c_, p_ + d);
-    }
-    replace_locked(in_b2);
-    std::shared_ptr<const void> artifact = materialize_locked(it, build, ctx);
-    move_to_front(it, ListId::kT2);
-    return artifact;
-  }
-
-  // Brand-new key: build first (strong exception safety — a throwing
-  // builder leaves only the miss counted), then insert at the MRU of T1.
+  // Build before inserting (strong exception safety — a throwing builder
+  // leaves only the miss counted).
   ++stats_.builds;
   Built b = build(ctx);
   WIVI_REQUIRE(b.artifact != nullptr, "plan builder returned null");
-  make_room_locked(false);
-  t1_.push_front(Entry{});
-  const EntryIt ni = t1_.begin();
-  ni->hash = h;
-  ni->kind = key.kind;
-  ni->ints.assign(key.ints.begin(), key.ints.end());
-  ni->reals.assign(key.reals.begin(), key.reals.end());
-  ni->grid.assign(key.grid.begin(), key.grid.end());
-  ni->artifact = std::move(b.artifact);
-  ni->ghost = ni->artifact;
-  ni->bytes = b.bytes;
-  ni->list = ListId::kT1;
-  index_[h].push_back(ni);
-  stats_.resident_bytes += ni->bytes;
-  return ni->artifact;
+  const auto it = table_.emplace(
+      h, Entry{key.kind,
+               {key.ints.begin(), key.ints.end()},
+               {key.reals.begin(), key.reals.end()},
+               {key.grid.begin(), key.grid.end()},
+               std::move(b.artifact),
+               b.bytes});
+  stats_.resident_bytes += it->second.bytes;
+  return it->second.artifact;
 }
 
 Stats Registry::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s = stats_;
-  s.resident_plans =
-      static_cast<std::uint64_t>(t1_.size()) + static_cast<std::uint64_t>(t2_.size());
+  s.resident_plans = static_cast<std::uint64_t>(table_.size());
   return s;
-}
-
-std::size_t Registry::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return c_;
-}
-
-void Registry::set_capacity(std::size_t capacity) {
-  WIVI_REQUIRE(capacity >= 1, "plan registry capacity must be >= 1");
-  std::lock_guard<std::mutex> lock(mu_);
-  c_ = capacity;
-  trim_locked();
-}
-
-void Registry::trim_locked() {
-  p_ = std::min(p_, c_);
-  while (t1_.size() + t2_.size() > c_) replace_locked(false);
-  while (t1_.size() + b1_.size() > c_)
-    drop_lru(b1_.empty() ? ListId::kT1 : ListId::kB1);
-  while (t1_.size() + t2_.size() + b1_.size() + b2_.size() > 2 * c_)
-    drop_lru(ListId::kB2);
 }
 
 void Registry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  t1_.clear();
-  t2_.clear();
-  b1_.clear();
-  b2_.clear();
-  index_.clear();
-  p_ = 0;
+  table_.clear();
   stats_ = Stats{};
 }
 

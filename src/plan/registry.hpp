@@ -7,29 +7,22 @@
 /// handful of configurations, so owning them per session is pure
 /// duplication. The registry hash-conses them: an artifact is keyed by
 /// its *canonicalized* configuration (two specs that build bit-identical
-/// values collide on one key), built at most once while resident, and
-/// handed out as `shared_ptr<const T>` handles that any number of
-/// sessions and threads read concurrently.
+/// values collide on one key), built once, and handed out as
+/// `shared_ptr<const T>` handles that any number of sessions and threads
+/// read concurrently.
 ///
-/// Residency is bounded by an ARC cache (Megiddo & Modha, FAST'03): two
-/// resident lists split recency (T1) from frequency (T2) hits, two ghost
-/// lists (B1/B2) remember recently evicted keys, and the adaptation
-/// target p shifts capacity between the two on ghost hits — so one-shot
-/// configs cannot flush the hot set, and a workload's reuse pattern tunes
-/// the split automatically. Eviction only drops the *registry's* handle:
-/// outstanding session handles keep the artifact alive, and a ghost entry
-/// keeps a `weak_ptr` so re-acquiring a still-alive evicted plan
-/// resurrects it without rebuilding.
+/// Nothing is evicted: the registry holds every artifact it built until
+/// `clear()`. Keys come only from in-process imaging configurations,
+/// never from the wire, so the table grows only with the number of
+/// distinct geometries a process images with (a few per entry point).
 ///
 /// Ownership rules (§12): anyone may hold a handle for as long as they
-/// like — handles pin the artifact, not a cache slot. The artifact behind
-/// a handle is deeply immutable; builders run under the registry lock and
-/// must not re-enter the registry.
+/// like. The artifact behind a handle is deeply immutable; builders run
+/// under the registry lock and must not re-enter the registry.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -96,91 +89,46 @@ struct Stats {
   std::uint64_t hits = 0;           ///< acquires served from a resident plan
   std::uint64_t misses = 0;         ///< acquires that found no resident plan
   std::uint64_t builds = 0;         ///< builder invocations
-  std::uint64_t ghost_hits = 0;     ///< misses whose key was in a ghost list
-  std::uint64_t resurrections = 0;  ///< ghost hits revived from a live handle
-  std::uint64_t evictions = 0;      ///< resident plans demoted or dropped
   std::uint64_t resident_plans = 0; ///< gauge: plans currently resident
   std::uint64_t resident_bytes = 0; ///< gauge: bytes of resident artifacts
 };
 
-/// The config-keyed artifact cache: hash-consed handles bounded by ARC.
-/// Thread-safe; one mutex serializes every operation (builds included, so
-/// a plan is never built twice concurrently).
+/// The config-keyed artifact table: one strongly held handle per
+/// canonical key. Thread-safe; one mutex serializes every operation
+/// (builds included, so a plan is never built twice concurrently).
 class Registry {
  public:
-  /// Default residency bound, in plans (not bytes): generous next to the
-  /// handful of configs a real deployment uses, small next to memory.
-  static constexpr std::size_t kDefaultCapacity = 128;
-
-  /// A registry bounded to `capacity` resident plans (>= 1).
-  explicit Registry(std::size_t capacity = kDefaultCapacity);
-
+  Registry() = default;                           ///< An empty table.
   Registry(const Registry&) = delete;             ///< Non-copyable.
   Registry& operator=(const Registry&) = delete;  ///< Non-copyable.
 
   /// The shared handle for `key`, building via `build(ctx)` only when no
-  /// resident or resurrectable artifact exists. A hit performs no heap
-  /// allocation (hash, probe, list splice, handle copy). The returned
-  /// handle stays valid indefinitely — eviction only drops the registry's
-  /// own reference. Throws whatever `build` throws (the registry is left
-  /// unchanged apart from the miss counter).
+  /// artifact is resident for it. A hit performs no heap allocation
+  /// (hash, probe, handle copy). Throws whatever `build` throws (the
+  /// registry is left unchanged apart from the miss and build counters).
   [[nodiscard]] std::shared_ptr<const void> acquire(const KeyRef& key,
                                                     BuildFn build, void* ctx);
 
   /// Current counters (gauges included), one consistent view.
   [[nodiscard]] Stats stats() const;
 
-  /// Residency bound in plans.
-  [[nodiscard]] std::size_t capacity() const;
-
-  /// Re-bound residency to `capacity` (>= 1) plans, evicting LRU-first
-  /// until the ARC invariants hold again.
-  void set_capacity(std::size_t capacity);
-
-  /// Drop every entry (resident and ghost) and zero the counters — test
-  /// isolation; outstanding handles stay valid.
+  /// Drop every entry and zero the counters — test isolation and
+  /// benchmark sweeps; outstanding handles stay valid.
   void clear();
 
  private:
-  /// Which ARC list an entry currently lives on.
-  enum class ListId : std::uint8_t { kT1, kT2, kB1, kB2 };
-
   struct Entry {
-    std::uint64_t hash = 0;
     Kind kind = Kind::kOther;
     std::vector<std::uint64_t> ints;
     std::vector<double> reals;
     std::vector<double> grid;
-    std::shared_ptr<const void> artifact;  // non-null iff resident (T1/T2)
-    std::weak_ptr<const void> ghost;       // survives demotion to B1/B2
+    std::shared_ptr<const void> artifact;
     std::size_t bytes = 0;
-    ListId list = ListId::kT1;
   };
-  using EntryList = std::list<Entry>;
-  using EntryIt = EntryList::iterator;
-
-  [[nodiscard]] EntryList& list_of(ListId id);
-  [[nodiscard]] bool matches(const Entry& e, const KeyRef& key,
-                             std::uint64_t hash) const;
-  [[nodiscard]] EntryIt find_locked(const KeyRef& key, std::uint64_t hash,
-                                    bool* found);
-  void move_to_front(EntryIt it, ListId dst);
-  void demote_lru(ListId from);          // resident LRU -> ghost list MRU
-  void drop_lru(ListId from);            // remove the list's LRU entirely
-  void replace_locked(bool hit_in_b2);   // ARC's REPLACE procedure
-  void make_room_locked(bool in_ghost);  // ARC case IV bookkeeping
-  void trim_locked();                    // restore invariants after resize
-  void erase_from_index(EntryIt it);
-  [[nodiscard]] std::shared_ptr<const void> materialize_locked(
-      EntryIt it, BuildFn build, void* ctx);
 
   mutable std::mutex mu_;
-  std::size_t c_;      // capacity in resident plans
-  std::size_t p_ = 0;  // ARC adaptation target for |T1|
-  EntryList t1_, t2_;  // resident: recency / frequency (MRU at front)
-  EntryList b1_, b2_;  // ghosts of t1_ / t2_ evictions (MRU at front)
   /// hash -> entries with that hash (collisions resolved by full compare).
-  std::unordered_map<std::uint64_t, std::vector<EntryIt>> index_;
+  std::unordered_multimap<std::uint64_t, Entry> table_;
   Stats stats_;
 };
 

@@ -78,9 +78,4 @@ Vec2 Trajectory::velocity(double t) const {
   return (position(hi) - position(lo)) / (hi - lo);
 }
 
-double Trajectory::radial_speed_toward(Vec2 observer, double t) const {
-  const Vec2 to_observer = (observer - position(t)).normalized();
-  return velocity(t).dot(to_observer);
-}
-
 }  // namespace wivi::rf

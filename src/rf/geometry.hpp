@@ -53,9 +53,6 @@ class Trajectory {
   [[nodiscard]] Vec2 position(double t) const;
   [[nodiscard]] Vec2 velocity(double t) const;
 
-  /// Radial speed toward `observer` (positive = approaching) at time t.
-  [[nodiscard]] double radial_speed_toward(Vec2 observer, double t) const;
-
  private:
   std::vector<Vec2> samples_;
   double dt_ = 0.0;

@@ -1,19 +1,8 @@
 #include "src/rf/noise.hpp"
 
-#include "src/common/constants.hpp"
-#include "src/common/db.hpp"
 #include "src/common/error.hpp"
 
 namespace wivi::rf {
-
-double thermal_noise_power_watts(double bandwidth_hz, double noise_figure_db) {
-  WIVI_REQUIRE(bandwidth_hz > 0.0, "bandwidth must be positive");
-  return kBoltzmann * kRoomTemperatureK * bandwidth_hz * from_db(noise_figure_db);
-}
-
-double thermal_noise_power_dbm(double bandwidth_hz, double noise_figure_db) {
-  return watts_to_dbm(thermal_noise_power_watts(bandwidth_hz, noise_figure_db));
-}
 
 void add_awgn(CVec& x, double noise_power, Rng& rng) {
   WIVI_REQUIRE(noise_power >= 0.0, "noise power must be >= 0");

@@ -6,14 +6,6 @@
 
 namespace wivi::rf {
 
-/// Thermal noise power kTB degraded by the receiver noise figure, in watts.
-[[nodiscard]] double thermal_noise_power_watts(double bandwidth_hz,
-                                               double noise_figure_db);
-
-/// Same, in dBm (so it can be compared against link budgets directly).
-[[nodiscard]] double thermal_noise_power_dbm(double bandwidth_hz,
-                                             double noise_figure_db);
-
 /// Add circularly-symmetric AWGN of the given per-sample power in place.
 void add_awgn(CVec& x, double noise_power, Rng& rng);
 

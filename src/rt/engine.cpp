@@ -303,8 +303,6 @@ Engine::EngineStats Engine::stats() const {
   st.plan_hits = ps.hits;
   st.plan_misses = ps.misses;
   st.plan_builds = ps.builds;
-  st.plan_evictions = ps.evictions;
-  st.plan_ghost_hits = ps.ghost_hits;
   st.plan_resident_plans = ps.resident_plans;
   st.plan_resident_bytes = ps.resident_bytes;
   st.ingress_wait = m_.ingress_wait_ns.snapshot();
@@ -347,14 +345,12 @@ obs::Snapshot Engine::snapshot() const {
   snap.add_counter("wivi_ring_drops_total", drops);
   snap.add_counter("wivi_engine_columns_total", columns);
   snap.add_counter("wivi_engine_bits_total", bits);
-  // Shared-plan registry: process-wide cache counters plus the residency
+  // Shared-plan registry: process-wide table counters plus the residency
   // gauges (counters and gauges share the scalar slot; see obs::Snapshot).
   const plan::Stats ps = plan::registry().stats();
   snap.add_counter("wivi_plan_hits_total", ps.hits);
   snap.add_counter("wivi_plan_misses_total", ps.misses);
   snap.add_counter("wivi_plan_builds_total", ps.builds);
-  snap.add_counter("wivi_plan_evictions_total", ps.evictions);
-  snap.add_counter("wivi_plan_ghost_hits_total", ps.ghost_hits);
   snap.add_counter("wivi_plan_resident_plans", ps.resident_plans);
   snap.add_counter("wivi_plan_resident_bytes", ps.resident_bytes);
   return snap;

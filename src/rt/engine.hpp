@@ -200,13 +200,12 @@ class Engine {
     std::uint64_t timeouts = 0;           ///< fatal watchdog timeouts
     std::uint64_t restarts = 0;           ///< RestartPolicy restarts
     std::uint64_t overload_transitions = 0;  ///< degradation-ladder moves
-    // Shared-plan registry counters (process-wide wivi::plan cache — every
-    // session's steering tables, FFT plans, window tables, angle grids).
+    // Shared-plan registry counters (process-wide wivi::plan table — every
+    // session's steering tables, FFT plans, window tables, angle grids;
+    // plans stay resident until plan::registry().clear()).
     std::uint64_t plan_hits = 0;         ///< acquires served by a resident plan
     std::uint64_t plan_misses = 0;       ///< acquires that found no resident plan
     std::uint64_t plan_builds = 0;       ///< artifacts actually constructed
-    std::uint64_t plan_evictions = 0;    ///< residents demoted by the ARC cache
-    std::uint64_t plan_ghost_hits = 0;   ///< misses that matched an evicted key
     std::uint64_t plan_resident_plans = 0;  ///< gauge: plans resident now
     std::uint64_t plan_resident_bytes = 0;  ///< gauge: bytes resident now
     // Network-ingress counters: the `wivi_net_*` family a net::Receiver

@@ -338,13 +338,6 @@ double GroundTruth::angle_deg_at(std::size_t k, double t_sec) const {
                            : 0.0;
 }
 
-int GroundTruth::count_at(double t_sec) const {
-  int count = 0;
-  for (std::size_t k = 0; k < movers.size(); ++k)
-    count += present(k, t_sec);
-  return count;
-}
-
 int GroundTruth::max_concurrent() const {
   // Sweep the presence-interval endpoints.
   std::vector<std::pair<std::size_t, int>> events;

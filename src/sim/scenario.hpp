@@ -217,9 +217,7 @@ struct GroundTruth {
   /// Ground-truth ISAR angle of mover `k` at `t_sec` in degrees:
   /// asin(v_radial / v_assumed), clamped to [-90, 90]. 0 when absent.
   [[nodiscard]] double angle_deg_at(std::size_t k, double t_sec) const;
-  /// Number of present movers at `t_sec`.
-  [[nodiscard]] int count_at(double t_sec) const;
-  /// Largest count_at() over the whole trace.
+  /// Largest number of movers present at once over the whole trace.
   [[nodiscard]] int max_concurrent() const;
 };
 

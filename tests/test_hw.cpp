@@ -50,7 +50,6 @@ TEST(Adc, SmallSignalBelowLsbVanishes) {
 
 TEST(Adc, MoreBitsMeansFinerLsb) {
   EXPECT_LT(Adc(14, 1.0).lsb(), Adc(8, 1.0).lsb());
-  EXPECT_NEAR(Adc(12, 1.0).dynamic_range_db(), 72.24, 0.01);
 }
 
 TEST(Adc, QuantizationErrorBoundedByHalfLsb) {
@@ -96,9 +95,9 @@ TEST(TxChain, TwelveDbBoostStaysLinearAtUsrpHeadroom) {
   const double clip = db_to_amp(12.5);
   const CVec x = {{1.0, 0.0}};
   TxChain tx(kPowerBoostDb, clip);
-  EXPECT_FALSE(tx.would_clip(x));
+  EXPECT_EQ(tx.process(x).clipped_count, 0u);
   tx.set_gain_db(14.0);
-  EXPECT_TRUE(tx.would_clip(x));
+  EXPECT_EQ(tx.process(x).clipped_count, 1u);
 }
 
 TEST(RxChain, AppliesGain) {

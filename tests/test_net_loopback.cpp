@@ -193,7 +193,7 @@ TEST(Loopback, MultiSensorStreamsDemuxToSeparateSessions) {
   binding.close_all();
   engine.drain();
 
-  EXPECT_EQ(binding.num_sessions(), 2u);
+  EXPECT_EQ(engine.num_sessions(), 2u);
   EXPECT_EQ(rx.demux().num_sensors(), 2u);
   const auto id_a = binding.session(11);
   const auto id_b = binding.session(22);

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <variant>
 #include <vector>
 
+#include "src/api/session.hpp"
 #include "src/common/constants.hpp"
 #include "src/common/db.hpp"
 #include "src/common/error.hpp"
@@ -412,6 +414,76 @@ TEST(MetamorphicMusic, DopplerShiftMovesTheSpectrumAlongSinTheta) {
     });
   }
   EXPECT_GE(cols, 1000u);
+}
+
+// ------------------------------------------------ direction reversal ---
+// Walking a scripted path backwards negates the mover's radial speed at
+// every instant, and the §5.1 ISAR angle asin(v_radial / v) is odd in it.
+// So the confirmed track angle a Session reports for the reversed world
+// must be the mirror of the forward one: same magnitude, opposite sign.
+// Same seed for both worlds: the static room, clutter and noise draws
+// stay put and only the mover's direction changes.
+
+/// Median angle over every confirmed, detection-updated track snapshot
+/// a Session::run with a TrackStage emits for `spec` at `seed`.
+double median_confirmed_angle_deg(const sim::ScenarioSpec& spec,
+                                  std::uint64_t seed) {
+  const sim::GeneratedScenario sc = sim::generate_scenario(spec, seed);
+  api::PipelineSpec ps;
+  ps.image.emit_columns = false;
+  ps.track.emplace();
+  api::Session session(ps);
+  session.run(sc.h);
+  std::vector<api::Event> events;
+  (void)session.poll(events);
+  RVec angles;
+  for (const api::Event& e : events) {
+    const auto* te = std::get_if<api::TracksEvent>(&e);
+    if (te == nullptr) continue;
+    for (const track::TrackSnapshot& t : te->tracks)
+      if (t.state == track::TrackState::kConfirmed && t.updated)
+        angles.push_back(t.angle_deg);
+  }
+  if (angles.empty()) return 0.0;
+  const auto mid =
+      angles.begin() + static_cast<std::ptrdiff_t>(angles.size() / 2);
+  std::nth_element(angles.begin(), mid, angles.end());
+  return *mid;
+}
+
+TEST(MetamorphicTracking, ReversingAMoversDirectionFlipsItsTrackAngle) {
+  sim::ScenarioSpec spec;
+  spec.name = "radial walk";
+  spec.room = sim::stata_conference_a();
+  const sim::Rect in = spec.interior();
+  // A straight walk parallel to the device boresight, from near the
+  // imaged wall to the back of the room.
+  const rf::Vec2 near_end{0.3, in.ymin + 0.2};
+  const rf::Vec2 far_end{0.3, in.ymax - 0.2};
+  constexpr double kSpeed = 0.6;
+  spec.duration_sec = std::abs(far_end.y - near_end.y) / kSpeed;
+  sim::ScenarioMover walker;
+  walker.mobility = sim::MobilityModel::kWaypoint;
+
+  constexpr std::uint64_t kSeed = 3;
+  sim::ScenarioSpec away = spec;
+  walker.start = near_end;
+  walker.waypoints = {sim::PathWaypoint{far_end, kSpeed, 0.0}};
+  away.movers = {walker};
+  sim::ScenarioSpec toward = spec;
+  walker.start = far_end;
+  walker.waypoints = {sim::PathWaypoint{near_end, kSpeed, 0.0}};
+  toward.movers = {walker};
+
+  const double a_away = median_confirmed_angle_deg(away, kSeed);
+  const double a_toward = median_confirmed_angle_deg(toward, kSeed);
+  // Both worlds confirm a track well off the DC band...
+  EXPECT_GT(std::abs(a_away), 15.0);
+  EXPECT_GT(std::abs(a_toward), 15.0);
+  // ...on opposite sides of broadside, mirrored to within a grid step or
+  // two.
+  EXPECT_LT(a_away * a_toward, 0.0);
+  EXPECT_NEAR(a_away, -a_toward, 2.0);
 }
 
 }  // namespace

@@ -59,15 +59,6 @@ TEST(Geometry, TrajectoryVelocityMagnitude) {
   EXPECT_NEAR(t.velocity(1.0).y, 0.0, 1e-12);
 }
 
-TEST(Geometry, RadialSpeedSignConvention) {
-  // Moving along +x toward an observer at (10, 0): approaching = positive.
-  std::vector<Vec2> pts;
-  for (int i = 0; i <= 10; ++i) pts.push_back({0.1 * i, 0.0});
-  const Trajectory t(pts, 0.1);
-  EXPECT_GT(t.radial_speed_toward({10.0, 0.0}, 0.5), 0.9);
-  EXPECT_LT(t.radial_speed_toward({-10.0, 0.0}, 0.5), -0.9);
-}
-
 TEST(Geometry, StationaryTrajectoryHasZeroVelocity) {
   const Trajectory t = Trajectory::stationary({1, 2}, 5.0, 0.01);
   EXPECT_DOUBLE_EQ(t.velocity(2.5).norm(), 0.0);
@@ -274,13 +265,6 @@ TEST(Channel, RejectsBadTxIndex) {
 }
 
 // ---------------------------------------------------------------- Noise ---
-
-TEST(Noise, ThermalFloorMatchesKtb) {
-  // kTB at 290 K over 1 Hz is -174 dBm; over 5 MHz with 0 dB NF: -107 dBm.
-  EXPECT_NEAR(thermal_noise_power_dbm(5e6, 0.0), -107.0, 0.2);
-  // NF adds directly in dB.
-  EXPECT_NEAR(thermal_noise_power_dbm(5e6, 8.0), -99.0, 0.2);
-}
 
 TEST(Noise, AddAwgnPowerIsCorrect) {
   Rng rng(21);

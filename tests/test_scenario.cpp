@@ -281,9 +281,6 @@ TEST(ScenarioTruth, PresenceWindowsDriveCounts) {
   EXPECT_FALSE(sc.truth.present(1, 0.5));
   EXPECT_TRUE(sc.truth.present(1, 2.0));
   EXPECT_FALSE(sc.truth.present(1, 3.5));
-  EXPECT_EQ(sc.truth.count_at(0.5), 1);
-  EXPECT_EQ(sc.truth.count_at(2.0), 2);
-  EXPECT_EQ(sc.truth.count_at(3.5), 1);
   EXPECT_EQ(sc.truth.max_concurrent(), 2);
   EXPECT_DOUBLE_EQ(sc.truth.radial_speed_mps_at(1, 3.5), 0.0);  // absent
   EXPECT_DOUBLE_EQ(sc.truth.angle_deg_at(1, 3.5), 0.0);
